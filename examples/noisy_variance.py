@@ -39,10 +39,14 @@ def main() -> None:
 
     scheduler = Scheduler()
     det_results = scheduler.run(deterministic)
+    det_simulated = scheduler.simulations_run
     noisy_results = scheduler.run(noisy)
-    print("simulated %d jobs (%d per sweep: the noisy grid shares no "
-          "cache entries with the deterministic one)"
-          % (scheduler.simulations_run, deterministic.job_count()))
+    print("deterministic sweep: %d jobs, %d simulated (the seeds of a "
+          "deterministic configuration share one simulation)"
+          % (deterministic.job_count(), det_simulated))
+    print("noisy sweep: %d jobs, %d simulated (every seed is its own run, "
+          "and no cache entry is shared with the deterministic grid)"
+          % (noisy.job_count(), scheduler.simulations_run - det_simulated))
     print()
 
     print("deterministic seeds — replication is exact, CIs are ±0:")

@@ -7,7 +7,9 @@ points on a known curve extend it with one vectorized evaluation.  The
 key deliberately excludes ``seed``: eligible jobs are deterministic
 (noise=0 draws nothing from the platform's seeded streams), so every
 seed sits on the same curve — which is exactly what makes whole-grid
-re-sweeps with fresh seeds near-free.
+re-sweeps with fresh seeds near-free.  (Within one pass the scheduler
+already hands the engine one job per seed class; see
+:func:`~repro.core.jobs.canonical_job`.)
 """
 
 from __future__ import annotations

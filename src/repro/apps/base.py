@@ -82,6 +82,13 @@ class ParallelApplication(object):
     name = "abstract"
     #: Table 2 application class.
     paper_class = "unclassified"
+    #: Whether the simulated time can depend on the platform seed with
+    #: noise off.  An application that draws seeded inputs whose values
+    #: shape its messages or work (an image, sort keys) must keep this
+    #: ``True``; only one whose timing is provably seed-free may clear
+    #: it, which lets the scheduler simulate it once per configuration
+    #: instead of once per seed.
+    seed_sensitive = True
 
     def make_workload(self, rng: RandomStreams) -> Any:
         """Build the application input (deterministic given ``rng``)."""

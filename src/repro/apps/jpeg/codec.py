@@ -76,52 +76,77 @@ def zigzag_order() -> List[Tuple[int, int]]:
 
 
 _ZIGZAG = zigzag_order()
+#: The zig-zag scan as flat indices into a row-major 8x8 block.
+_ZIGZAG_FLAT = np.array([i * BLOCK + j for i, j in _ZIGZAG])
+_COEFFICIENTS = BLOCK * BLOCK
 
 
-def _magnitude_bits(value: int) -> int:
-    """JPEG magnitude category: bits needed for |value|."""
-    return int(value).bit_length() if value else 0
+def _magnitude_bits(values: np.ndarray) -> np.ndarray:
+    """JPEG magnitude category of each integer: the bit length of
+    ``|value|`` (0 for 0).  ``frexp`` returns exactly that exponent for
+    integers below 2**53."""
+    return np.frexp(np.abs(values).astype(np.float64))[1]
 
 
 def encode_blocks(strip: np.ndarray, quality: int = 75):
     """Compress one image strip (height divisible by 8).
 
     Returns ``(tokens, nbits)``: the token stream needed to decode and
-    the bit-accurate compressed size.
+    the bit-accurate compressed size.  One token per block, in raster
+    order: ``(dc_diff, ac_pairs)``, where ``ac_pairs`` lists
+    ``(zero_run, value)`` per nonzero AC coefficient, preceded by a
+    ``(15, 0)`` ZRL for every 16 zeros of a longer run.  Each block
+    costs a 4-bit DC token plus its magnitude bits, 8 bits plus
+    magnitude bits per AC pair, 8 bits per ZRL and a 4-bit EOB.
+
+    Every block is coded at once: :func:`forward_dct` transforms the
+    whole ``(blocks, 8, 8)`` stack, and the zig-zag scan, zero runs and
+    bit counts are array operations over all blocks.
     """
     height, width = strip.shape
     if height % BLOCK or width % BLOCK:
         raise ApplicationError("strip dimensions must be multiples of 8")
     table = quantization_table(quality)
-    tokens = []
-    nbits = 0
-    previous_dc = 0
     shifted = strip.astype(np.float64) - 128.0
-    for by in range(0, height, BLOCK):
-        for bx in range(0, width, BLOCK):
-            block = shifted[by:by + BLOCK, bx:bx + BLOCK]
-            coefficients = np.round(forward_dct(block) / table).astype(np.int32)
-            scan = [int(coefficients[i, j]) for i, j in _ZIGZAG]
+    blocks = shifted.reshape(height // BLOCK, BLOCK, width // BLOCK, BLOCK).swapaxes(1, 2)
+    blocks = blocks.reshape(-1, BLOCK, BLOCK)
+    coefficients = np.round(forward_dct(blocks) / table).astype(np.int32)
+    scan = coefficients.reshape(len(blocks), _COEFFICIENTS)[:, _ZIGZAG_FLAT]
 
-            dc_diff = scan[0] - previous_dc
-            previous_dc = scan[0]
-            nbits += 4 + _magnitude_bits(dc_diff)
+    dc_diffs = np.diff(scan[:, 0], prepend=0)
+    scan[:, 0] = 0
+    # Flat offsets of the nonzero AC coefficients, block by block; the
+    # zero run before each one reaches back to the previous nonzero of
+    # its block, or to the block's DC slot.
+    offsets = np.flatnonzero(scan)
+    values = scan.ravel()[offsets]
+    block_of = offsets // _COEFFICIENTS
+    previous = np.empty_like(offsets)
+    previous[:1] = -1
+    previous[1:] = offsets[:-1]
+    runs = offsets - np.maximum(previous, block_of * _COEFFICIENTS) - 1
+    zrls = runs // 16
 
-            ac_pairs = []
-            run = 0
-            for value in scan[1:]:
-                if value == 0:
-                    run += 1
-                    continue
-                while run > 15:
-                    ac_pairs.append((15, 0))  # ZRL
-                    nbits += 8
-                    run -= 16
-                ac_pairs.append((run, value))
-                nbits += 8 + _magnitude_bits(value)
-                run = 0
-            nbits += 4  # EOB
-            tokens.append((dc_diff, ac_pairs))
+    nbits = int(
+        8 * len(dc_diffs) + _magnitude_bits(dc_diffs).sum()  # DC token + EOB
+        + 8 * (len(values) + zrls.sum()) + _magnitude_bits(values).sum()
+    )
+
+    if zrls.any():
+        # Expand each pair into its ZRLs followed by the pair itself.
+        source = np.repeat(np.arange(len(runs)), zrls + 1)
+        last = np.zeros(len(source), dtype=bool)
+        last[np.cumsum(zrls + 1) - 1] = True
+        runs = np.where(last, runs[source] % 16, 15)
+        values = np.where(last, values[source], 0)
+        block_of = block_of[source]
+    pairs = list(zip(runs.tolist(), values.tolist()))
+    ends = np.cumsum(np.bincount(block_of, minlength=len(dc_diffs))).tolist()
+    tokens = []
+    start = 0
+    for dc_diff, end in zip(dc_diffs.tolist(), ends):
+        tokens.append((dc_diff, pairs[start:end]))
+        start = end
     return tokens, nbits
 
 

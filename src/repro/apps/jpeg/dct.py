@@ -35,8 +35,11 @@ _DCT_T = _DCT.T.copy()
 
 
 def forward_dct(block: np.ndarray) -> np.ndarray:
-    """Forward 2-D DCT of one 8x8 block (float64 in, float64 out)."""
-    if block.shape != (BLOCK, BLOCK):
+    """Forward 2-D DCT of one 8x8 block, or of every block of an
+    ``(..., 8, 8)`` stack (float64 in, float64 out).  A stack runs the
+    same product order per block, so its results are bit-identical to
+    transforming the blocks one at a time."""
+    if block.shape[-2:] != (BLOCK, BLOCK):
         raise ValueError("expected an 8x8 block, got %r" % (block.shape,))
     return _DCT @ block @ _DCT_T
 

@@ -10,9 +10,10 @@ be charged incrementally.
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads with the first sample, not with the app
+    import numpy as np
 
 from repro.hardware.node import Work
 
@@ -26,6 +27,8 @@ __all__ = [
 
 def _quarter_circle(x: np.ndarray) -> np.ndarray:
     """4*sqrt(1-x^2) on [0,1] integrates to pi."""
+    import numpy as np
+
     return 4.0 * np.sqrt(1.0 - x * x)
 
 
@@ -36,6 +39,8 @@ def _witch_of_agnesi(x: np.ndarray) -> np.ndarray:
 
 def _damped_wave(x: np.ndarray) -> np.ndarray:
     """exp(-x)*sin(10x) on [0,1]; closed form below."""
+    import numpy as np
+
     return np.exp(-x) * np.sin(10.0 * x)
 
 

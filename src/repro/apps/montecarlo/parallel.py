@@ -49,6 +49,9 @@ class MonteCarloIntegration(ParallelApplication):
 
     name = "montecarlo"
     paper_class = "Simulation/Optimization"
+    # The samples are seeded, but the shares, the charged work and the
+    # short messages depend only on the sample count.
+    seed_sensitive = False
 
     def __init__(self, samples: int = 1_500_000, integrand: str = "witch-of-agnesi") -> None:
         self.samples = samples

@@ -9,21 +9,18 @@ Sorting (PSRS).
 
 from __future__ import annotations
 
-from typing import Dict, List
+import importlib
+from typing import TYPE_CHECKING, Dict, List, Type
 
-from repro.apps.base import ParallelApplication
-from repro.apps.fft.parallel import ParallelFft2d
-from repro.apps.jpeg.parallel import JpegCompression
-from repro.apps.linalg.lu import LuDecomposition
-from repro.apps.linalg.matmul import MatrixMultiply
-from repro.apps.montecarlo.parallel import MonteCarloIntegration
-from repro.apps.sorting.parallel import PsrsSort
+if TYPE_CHECKING:
+    from repro.apps.base import ParallelApplication
 
 __all__ = [
     "SU_PDABS_TABLE",
     "BENCHMARKED_APPS",
     "EXTENSION_APPS",
     "APPLICATION_CLASSES",
+    "application_class",
     "create_application",
     "application_names",
 ]
@@ -60,18 +57,20 @@ SU_PDABS_TABLE: Dict[str, List[str]] = {
 
 #: The four applications the paper benchmarks (Section 2.2: "we have
 #: chosen JPEG Compression, Fast Fourier Transform (FFT), Monte Carlo
-#: Integration and Parallel sorting").
+#: Integration and Parallel sorting"), as ``module:class``.  A class is
+#: imported when first asked for, so naming the apps (validating a
+#: spec, say) loads neither numpy nor the simulator.
 _PAPER_FACTORIES = {
-    "jpeg": JpegCompression,
-    "fft2d": ParallelFft2d,
-    "montecarlo": MonteCarloIntegration,
-    "psrs": PsrsSort,
+    "jpeg": "repro.apps.jpeg.parallel:JpegCompression",
+    "fft2d": "repro.apps.fft.parallel:ParallelFft2d",
+    "montecarlo": "repro.apps.montecarlo.parallel:MonteCarloIntegration",
+    "psrs": "repro.apps.sorting.parallel:PsrsSort",
 }
 
 #: Further Table 2 entries implemented beyond the paper's figures.
 _EXTENSION_FACTORIES = {
-    "matmul": MatrixMultiply,
-    "lu": LuDecomposition,
+    "matmul": "repro.apps.linalg.matmul:MatrixMultiply",
+    "lu": "repro.apps.linalg.lu:LuDecomposition",
 }
 
 _FACTORIES = dict(_PAPER_FACTORIES, **_EXTENSION_FACTORIES)
@@ -79,15 +78,29 @@ _FACTORIES = dict(_PAPER_FACTORIES, **_EXTENSION_FACTORIES)
 BENCHMARKED_APPS = tuple(sorted(_PAPER_FACTORIES))
 EXTENSION_APPS = tuple(sorted(_EXTENSION_FACTORIES))
 
-#: app name -> Table 2 class.
-APPLICATION_CLASSES = {
-    name: factory().paper_class for name, factory in _FACTORIES.items()
-}
+
+def __getattr__(name: str):
+    # APPLICATION_CLASSES (app name -> Table 2 class) reads the classes,
+    # so it is built on request.
+    if name == "APPLICATION_CLASSES":
+        return {app: application_class(app).paper_class for app in _FACTORIES}
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def application_names() -> List[str]:
     """Names accepted by :func:`create_application`."""
     return list(BENCHMARKED_APPS)
+
+
+def application_class(name: str) -> Type[ParallelApplication]:
+    """The application class registered as ``name``."""
+    try:
+        module, cls = _FACTORIES[name].split(":")
+    except KeyError:
+        raise KeyError(
+            "unknown application %r; available: %s" % (name, ", ".join(BENCHMARKED_APPS))
+        )
+    return getattr(importlib.import_module(module), cls)
 
 
 def create_application(name: str, **params) -> ParallelApplication:
@@ -96,10 +109,4 @@ def create_application(name: str, **params) -> ParallelApplication:
     Keyword parameters configure the workload size, e.g.
     ``create_application("fft2d", size=64)``.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            "unknown application %r; available: %s" % (name, ", ".join(BENCHMARKED_APPS))
-        )
-    return factory(**params)
+    return application_class(name)(**params)

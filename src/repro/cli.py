@@ -73,15 +73,17 @@ caching & statistics:
   executor, cache hit/miss, attempts).
 
 simulated variance:
-  By default simulations are exactly deterministic, so every seed
-  yields the same sample and multi-seed CIs collapse to ±0.  --noise
-  [SCALE] turns on each platform's seeded stochastic network model
-  (Ethernet CSMA/CD backoff, FDDI token-rotation jitter, ATM/crossbar
-  switch jitter) at SCALE times its nominal amplitude (bare --noise
-  means 1.0).  Runs stay reproducible — the same (platform,
-  processors, seed, noise) always simulates the same timings — but
-  different seeds now measure real variance, which is what --stats is
-  for.  Noisy and deterministic runs never share cache entries.
+  By default simulations are exactly deterministic.  Only the jpeg and
+  psrs applications (seeded image and keys) differ across seeds; every
+  other measurement is simulated once, at the first seed, and served
+  to each seed, so its multi-seed CI collapses to ±0.  --noise [SCALE] turns
+  on each platform's seeded stochastic network model (Ethernet CSMA/CD
+  backoff, FDDI token-rotation jitter, ATM/crossbar switch jitter) at
+  SCALE times its nominal amplitude (bare --noise means 1.0).  Runs
+  stay reproducible — the same (platform, processors, seed, noise)
+  always simulates the same timings — but every seed is now simulated
+  and measures real variance, which is what --stats is for.  Noisy
+  and deterministic runs never share cache entries.
 
   example (resumable, statistically grounded sweep):
     repro evaluate --platforms sun-ethernet alpha-fddi \\
@@ -674,9 +676,12 @@ def _cmd_evaluate(args) -> int:
         print("%d simulations scored %d configurations"
               % (scheduler.simulations_run, len(spec.cells())))
     if args.cache_dir:
+        # Count from telemetry, not cache probes: a seed-collapsed job
+        # is served within the pass without a probe of its own.
+        served = sum(record.cache_hit for record in result_set.telemetry.values())
         print("cache %s: %d simulated, %d served from %s"
-              % (args.cache_dir, scheduler.simulations_run,
-                 scheduler.cache.hits, scheduler.cache.backend.name))
+              % (args.cache_dir, scheduler.simulations_run, served,
+                 scheduler.cache.backend.name))
     if scheduler.analytic is not None:
         computed = sum(1 for record in scheduler.telemetry.values()
                        if record.engine == "analytic" and not record.cache_hit)

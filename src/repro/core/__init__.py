@@ -1,131 +1,82 @@
-"""The paper's contribution: the multi-level evaluation methodology."""
+"""The paper's contribution: the multi-level evaluation methodology.
 
-from repro.core.cache import (
-    CACHE_SCHEMA_VERSION,
-    CacheBackend,
-    DiskBackend,
-    MemoryBackend,
-    ResultCache,
-    ShardedBackend,
-    job_key,
-)
-from repro.core.criteria import ADL_CRITERIA, Criterion, NS, PS, Rating, WS
-from repro.core.evaluation import (
-    EvaluationReport,
-    Evaluator,
-    ToolEvaluation,
-    evaluate_tools,
-)
-from repro.core.jobs import MeasurementJob, execute_job
-from repro.core.levels import ADL, APL, EvaluationLevel, STANDARD_LEVELS, TPL
-from repro.core.metrics import (
-    Measurement,
-    MeasurementSet,
-    aggregate_scores,
-    rank_by_value,
-    ratio_scores,
-)
-from repro.core.ranking import PRIMITIVE_CLASSES, primitive_rankings, summary_table
-from repro.core.results import ResultSet
-from repro.core.executors import (
-    EXECUTOR_BACKENDS,
-    Executor,
-    JobOutcome,
-    resolve_workers,
-)
-from repro.core.progress import (
-    CacheHit,
-    JobFinished,
-    JobStarted,
-    Progress,
-    RunCompleted,
-    RunEvent,
-)
-from repro.core.scheduler import (
-    AsyncExecutor,
-    JobTelemetry,
-    ProcessPoolExecutor,
-    RunHandle,
-    Scheduler,
-    SerialExecutor,
-    create_executor,
-)
-from repro.core.spec import DEFAULT_APP_PARAMS, DEFAULT_TPL_SIZES, EvaluationSpec
-from repro.core.stats import SampleStats, summarize, t_critical
-from repro.core.usability import USABILITY_MATRIX, adl_score, usability_ratings
-from repro.core.weights import (
-    APPLICATION_DEVELOPER,
-    BALANCED,
-    END_USER,
-    PRESET_PROFILES,
-    TOOL_DEVELOPER,
-    WeightProfile,
-)
+Every public name resolves on first use, so importing one module of the
+package (``repro.core.spec``, say) loads that module alone and not the
+simulator behind the rest.
+"""
 
-__all__ = [
-    "ADL",
-    "ADL_CRITERIA",
-    "APL",
-    "APPLICATION_DEVELOPER",
-    "AsyncExecutor",
-    "BALANCED",
-    "CACHE_SCHEMA_VERSION",
-    "CacheBackend",
-    "CacheHit",
-    "Criterion",
-    "EXECUTOR_BACKENDS",
-    "Executor",
-    "DEFAULT_APP_PARAMS",
-    "DEFAULT_TPL_SIZES",
-    "DiskBackend",
-    "END_USER",
-    "EvaluationLevel",
-    "EvaluationReport",
-    "EvaluationSpec",
-    "Evaluator",
-    "JobFinished",
-    "JobOutcome",
-    "JobStarted",
-    "JobTelemetry",
-    "Measurement",
-    "MeasurementJob",
-    "MeasurementSet",
-    "MemoryBackend",
-    "NS",
-    "ProcessPoolExecutor",
-    "Progress",
-    "ResultCache",
-    "ResultSet",
-    "RunCompleted",
-    "RunEvent",
-    "RunHandle",
-    "SampleStats",
-    "Scheduler",
-    "SerialExecutor",
-    "ShardedBackend",
-    "PRESET_PROFILES",
-    "PRIMITIVE_CLASSES",
-    "PS",
-    "Rating",
-    "STANDARD_LEVELS",
-    "TOOL_DEVELOPER",
-    "TPL",
-    "ToolEvaluation",
-    "USABILITY_MATRIX",
-    "WS",
-    "WeightProfile",
-    "adl_score",
-    "aggregate_scores",
-    "create_executor",
-    "evaluate_tools",
-    "execute_job",
-    "job_key",
-    "primitive_rankings",
-    "rank_by_value",
-    "ratio_scores",
-    "resolve_workers",
-    "summarize",
-    "summary_table",
-    "t_critical",
-    "usability_ratings",
-]
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
+
+#: Public name -> the module defining it.
+_EXPORTS = {
+    "CACHE_SCHEMA_VERSION": "repro.core.cache",
+    "CacheBackend": "repro.core.cache",
+    "DiskBackend": "repro.core.cache",
+    "MemoryBackend": "repro.core.cache",
+    "ResultCache": "repro.core.cache",
+    "ShardedBackend": "repro.core.cache",
+    "job_key": "repro.core.cache",
+    "ADL_CRITERIA": "repro.core.criteria",
+    "Criterion": "repro.core.criteria",
+    "NS": "repro.core.criteria",
+    "PS": "repro.core.criteria",
+    "Rating": "repro.core.criteria",
+    "WS": "repro.core.criteria",
+    "EvaluationReport": "repro.core.evaluation",
+    "Evaluator": "repro.core.evaluation",
+    "ToolEvaluation": "repro.core.evaluation",
+    "evaluate_tools": "repro.core.evaluation",
+    "MeasurementJob": "repro.core.jobs",
+    "execute_job": "repro.core.jobs",
+    "ADL": "repro.core.levels",
+    "APL": "repro.core.levels",
+    "EvaluationLevel": "repro.core.levels",
+    "STANDARD_LEVELS": "repro.core.levels",
+    "TPL": "repro.core.levels",
+    "Measurement": "repro.core.metrics",
+    "MeasurementSet": "repro.core.metrics",
+    "aggregate_scores": "repro.core.metrics",
+    "rank_by_value": "repro.core.metrics",
+    "ratio_scores": "repro.core.metrics",
+    "PRIMITIVE_CLASSES": "repro.core.ranking",
+    "primitive_rankings": "repro.core.ranking",
+    "summary_table": "repro.core.ranking",
+    "ResultSet": "repro.core.results",
+    "EXECUTOR_BACKENDS": "repro.core.executors",
+    "Executor": "repro.core.executors",
+    "JobOutcome": "repro.core.executors",
+    "resolve_workers": "repro.core.executors",
+    "CacheHit": "repro.core.progress",
+    "JobFinished": "repro.core.progress",
+    "JobStarted": "repro.core.progress",
+    "Progress": "repro.core.progress",
+    "RunCompleted": "repro.core.progress",
+    "RunEvent": "repro.core.progress",
+    "AsyncExecutor": "repro.core.scheduler",
+    "JobTelemetry": "repro.core.scheduler",
+    "ProcessPoolExecutor": "repro.core.scheduler",
+    "RunHandle": "repro.core.scheduler",
+    "Scheduler": "repro.core.scheduler",
+    "SerialExecutor": "repro.core.scheduler",
+    "create_executor": "repro.core.scheduler",
+    "DEFAULT_APP_PARAMS": "repro.core.spec",
+    "DEFAULT_TPL_SIZES": "repro.core.spec",
+    "EvaluationSpec": "repro.core.spec",
+    "SampleStats": "repro.core.stats",
+    "summarize": "repro.core.stats",
+    "t_critical": "repro.core.stats",
+    "USABILITY_MATRIX": "repro.core.usability",
+    "adl_score": "repro.core.usability",
+    "usability_ratings": "repro.core.usability",
+    "APPLICATION_DEVELOPER": "repro.core.weights",
+    "BALANCED": "repro.core.weights",
+    "END_USER": "repro.core.weights",
+    "PRESET_PROFILES": "repro.core.weights",
+    "TOOL_DEVELOPER": "repro.core.weights",
+    "WeightProfile": "repro.core.weights",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

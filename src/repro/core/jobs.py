@@ -11,6 +11,7 @@ function so jobs can ship to ``concurrent.futures`` worker processes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -19,6 +20,7 @@ from repro.errors import EvaluationError, validate_noise
 __all__ = [
     "JOB_KINDS",
     "MeasurementJob",
+    "canonical_job",
     "execute_job",
     "sendrecv_job",
     "broadcast_job",
@@ -64,6 +66,23 @@ class MeasurementJob:
 
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
+
+    def seed_sensitive(self) -> bool:
+        """Whether this job's sample can depend on its ``seed``.
+
+        With noise on, every medium draws from seeded streams, so every
+        job can.  With it off, the TPL kinds draw nothing: Ethernet
+        backoff, their only seeded draw, is installed only when noise
+        is on.  An application job can unless its class clears
+        :attr:`~repro.apps.base.ParallelApplication.seed_sensitive`.
+        The scheduler simulates an insensitive job once per pass and
+        serves that sample to every seed (see :func:`canonical_job`).
+        """
+        if self.noise:
+            return True
+        if self.kind != "application":
+            return False
+        return _app_seed_sensitive(dict(self.params).get("app"))
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready description (the persistent cache's entry body).
@@ -114,6 +133,36 @@ class MeasurementJob:
         if self.noise:
             text += " noise=%g" % self.noise
         return text
+
+
+@functools.lru_cache(maxsize=None)
+def _app_seed_sensitive(app: Optional[str]) -> bool:
+    """The ``seed_sensitive`` declaration of the application ``app``
+    (read once per app: a warm re-sweep asks for every job)."""
+    from repro.apps.suite import application_class
+
+    try:
+        return application_class(app).seed_sensitive
+    except KeyError:
+        return True  # an unknown app: let execute_job report it
+
+
+def canonical_job(job: MeasurementJob) -> MeasurementJob:
+    """The name of ``job``'s seed class: ``job`` itself, or the same job
+    at seed 0 when its sample cannot depend on the seed.  Jobs with
+    equal canonical jobs have bit-identical samples, so a scheduler pass
+    simulates the first job of each class it meets and serves that
+    sample to the rest of the class.
+
+    The copy takes the already-validated fields as they are (a warm
+    re-sweep maps every job, and re-running ``__init__`` would cost
+    more than the cache read it saves).
+    """
+    if job.seed == 0 or job.seed_sensitive():
+        return job
+    canonical = object.__new__(MeasurementJob)
+    canonical.__dict__.update(job.__dict__, seed=0)
+    return canonical
 
 
 def sendrecv_job(

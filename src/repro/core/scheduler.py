@@ -13,7 +13,10 @@ loop).  Finished samples land in a
 :class:`~repro.core.cache.ResultCache` keyed by the job's content
 address — pass ``cache_dir=`` for a persistent on-disk cache a killed
 (or cancelled) sweep resumes from, and ``shards=`` to spread it over
-N sub-stores.  ``engine="analytic"`` / ``engine="auto"`` answer
+N sub-stores.  A job whose sample cannot depend on its seed is
+simulated once per pass, as the first job of its seed class
+(:func:`~repro.core.jobs.canonical_job`) the pass meets; every other
+seed's job is served that sample.  ``engine="analytic"`` / ``engine="auto"`` answer
 eligible misses from the vectorized closed-form models in
 :mod:`repro.analytic` instead of simulating them (bit-identical where
 admitted; ``auto`` falls back to the event kernel elsewhere).
@@ -64,7 +67,7 @@ from repro.core.executors import (
     execute_job_instrumented,
     resolve_workers,
 )
-from repro.core.jobs import MeasurementJob
+from repro.core.jobs import MeasurementJob, canonical_job
 from repro.core.progress import (
     CacheHit,
     JobFinished,
@@ -101,8 +104,9 @@ class JobTelemetry:
     """Provenance of one sample in one scheduler pass.
 
     ``wall_seconds`` is ``None`` when the executor could not report
-    per-job timing (a custom executor without ``submit``); cache hits
-    record ``0.0`` — the sample cost nothing this pass.  ``engine``
+    per-job timing (a custom executor without ``submit``); cache hits,
+    including jobs served another seed's sample this pass, record
+    ``0.0`` — the sample cost nothing this pass.  ``engine``
     records how the sample was produced — ``"event"`` for a
     discrete-event simulation, ``"analytic"`` for a closed-form
     evaluation — so exports distinguish computed from simulated.
@@ -229,6 +233,12 @@ class RunHandle(object):
             self._append(event)
             self._cond.notify_all()
         self._notify(event)
+
+    def _reserve(self, job: MeasurementJob) -> None:
+        """Hold ``job``'s first-occurrence slot while it waits on the
+        lead of its seed class, which another job dispatched."""
+        with self._cond:
+            self._values[job] = None
 
     def _cache_hit(self, job: MeasurementJob, value: Optional[float]) -> None:
         with self._cond:
@@ -405,7 +415,8 @@ class RunHandle(object):
 
 
 class Scheduler(object):
-    """Executes specs: expand, dedupe, consult the cache, fan out.
+    """Executes specs: expand, dedupe, collapse seeds, consult the
+    cache, fan out.
 
     Parameters
     ----------
@@ -525,14 +536,60 @@ class Scheduler(object):
         )
 
     def _drive(self, jobs: Iterable[MeasurementJob], handle: RunHandle) -> None:
-        """The streaming core: dedupe, consult the cache, dispatch
-        misses, persist outcomes as they arrive, narrate everything
-        through ``handle``.  Runs on the handle's worker thread (the
-        job iterable itself may be consumed from an executor-internal
-        thread — :class:`~repro.core.executors.AsyncExecutor`)."""
-        in_flight: deque = deque()
+        """The streaming core: dedupe, collapse seeds, consult the
+        cache, dispatch misses, persist outcomes as they arrive, narrate
+        everything through ``handle``.  Runs on the handle's worker
+        thread (the job iterable itself may be consumed from an
+        executor-internal thread —
+        :class:`~repro.core.executors.AsyncExecutor`).
+
+        Seed collapse: jobs with equal :func:`canonical_job` share one
+        sample, so only the first job of each such class the pass meets,
+        its lead, is probed, executed and stored.  Every other job of
+        the class is served the lead's sample as a cache hit, at its own
+        first-occurrence position in the results.  Leads are chosen per
+        pass, so a run reuses the cache entries of an earlier run only
+        where both meet the same lead (for specs, the same first seed).
+        """
+        in_flight: deque = deque()  # leads, in executor order
         seen = set()
         analytic = self.analytic
+        # The lead of each seed class this pass has met (touched only by
+        # the thread consuming misses()).
+        lead_of: Dict[MeasurementJob, MeasurementJob] = {}
+        # Lead samples known this pass, and the jobs waiting on each
+        # dispatched lead (its announced owner first).  Both threads
+        # touch them, so every read-modify-write holds the lock.
+        resolved: Dict[MeasurementJob, Optional[float]] = {}
+        waiting: Dict[MeasurementJob, list] = {}
+        lock = threading.Lock()
+
+        def serve(job: MeasurementJob, value: Optional[float]) -> None:
+            self.telemetry[job] = JobTelemetry(job, self.executor_name, True, 0.0, 0)
+            handle._cache_hit(job, value)
+
+        def finish(lead: MeasurementJob, outcome: JobOutcome,
+                   executor: str, engine: str = "event") -> None:
+            self.cache.store(lead, outcome.value)
+            with lock:
+                resolved[lead] = outcome.value
+                owner, *siblings = waiting.pop(lead)
+            self.telemetry[owner] = JobTelemetry(
+                owner, executor, False, outcome.wall_seconds, outcome.attempts,
+                engine=engine,
+            )
+            self.simulations_run += 1
+            handle._job_finished(owner, outcome, engine=engine)
+            for job in siblings:
+                serve(job, outcome.value)
+
+        def drop(leads: Iterable[MeasurementJob]) -> None:
+            """Forget the reservations of every job waiting on one of
+            ``leads``, which will never finish."""
+            with lock:
+                handle._drop_reservations(
+                    [job for lead in leads for job in waiting.pop(lead, ())]
+                )
 
         def serve_analytic(batch) -> None:
             """Answer a chunk's analytic-eligible misses inline — one
@@ -545,15 +602,9 @@ class Scheduler(object):
             start = time.perf_counter()
             values = analytic.compute_many(batch)
             wall = (time.perf_counter() - start) / len(batch)
-            for job in batch:
-                outcome = JobOutcome(values[job], wall, 1)
-                self.cache.store(job, outcome.value)
-                self.telemetry[job] = JobTelemetry(
-                    job, "analytic", False, outcome.wall_seconds, 1,
-                    engine="analytic",
-                )
-                self.simulations_run += 1
-                handle._job_finished(job, outcome, engine="analytic")
+            for lead in batch:
+                finish(lead, JobOutcome(values[lead], wall, 1), "analytic",
+                       engine="analytic")
 
         def misses() -> Iterator[MeasurementJob]:
             source = iter(jobs)
@@ -566,11 +617,16 @@ class Scheduler(object):
                 chunk = list(itertools.islice(source, self.PROBE_CHUNK))
                 if not chunk:
                     return
-                cached = self.cache.get_many(
-                    job for job in chunk if job not in seen
-                )
+                leads = [lead_of.setdefault(canonical_job(job), job) for job in chunk]
+                with lock:
+                    unknown = dict.fromkeys(
+                        lead for job, lead in zip(chunk, leads)
+                        if job not in seen and lead not in resolved
+                        and lead not in waiting
+                    )
+                cached = self.cache.get_many(unknown)
                 batch = []
-                for job in chunk:
+                for job, lead in zip(chunk, leads):
                     if handle._cancel_event.is_set():
                         # Cooperative cancel: stop dispatching.
                         # Everything already yielded keeps executing
@@ -579,35 +635,44 @@ class Scheduler(object):
                         # dropped (the batch's announced-but-never-
                         # finished reservations must not read as
                         # samples).
-                        handle._drop_reservations(batch)
+                        drop(batch)
                         handle._mark_cancelled()
                         return
                     if job in seen:
                         continue
                     seen.add(job)
-                    if job in cached:
-                        self.telemetry[job] = JobTelemetry(
-                            job, self.executor_name, True, 0.0, 0
-                        )
-                        handle._cache_hit(job, cached[job])
+                    with lock:
+                        if lead in waiting:
+                            # Its lead is in flight: hold this job's
+                            # slot until the sample arrives.
+                            waiting[lead].append(job)
+                            handle._reserve(job)
+                            continue
+                        if lead in cached:
+                            resolved[lead] = cached[lead]
+                        value = resolved.get(lead, MISSING)
+                        if value is MISSING:
+                            waiting[lead] = [job]
+                    if value is not MISSING:
+                        serve(job, value)
                         continue
                     if analytic is not None:
-                        if analytic.eligible(job):
+                        if analytic.eligible(lead):
                             # Announce now (stream order), answer at
                             # the end of the chunk in one batch.
                             handle._job_started(job)
-                            batch.append(job)
+                            batch.append(lead)
                             continue
                         if self.engine == "analytic":
                             raise EvaluationError(
                                 "engine='analytic' cannot serve job %s: %s "
                                 "(use engine='auto' to fall back to the "
                                 "event kernel)"
-                                % (job.label(), analytic.why_ineligible(job))
+                                % (job.label(), analytic.why_ineligible(lead))
                             )
-                    in_flight.append(job)
+                    in_flight.append(lead)
                     handle._job_started(job)
-                    yield job
+                    yield lead
                 if batch:
                     serve_analytic(batch)
 
@@ -621,19 +686,13 @@ class Scheduler(object):
                     "executor %s returned more outcomes than jobs"
                     % self.executor_name
                 )
-            job = in_flight.popleft()
-            self.cache.store(job, outcome.value)
-            self.telemetry[job] = JobTelemetry(
-                job, self.executor_name, False, outcome.wall_seconds, outcome.attempts
-            )
-            self.simulations_run += 1
-            handle._job_finished(job, outcome)
+            finish(in_flight.popleft(), outcome, self.executor_name)
         if in_flight:
             if handle.cancelled:
                 # The built-in executors finish everything dispatched,
                 # but a cancelled custom backend may drop queued jobs;
                 # their reservations must not masquerade as samples.
-                handle._drop_reservations(in_flight)
+                drop(in_flight)
             else:
                 raise EvaluationError(
                     "executor %s returned %d outcome(s) too few"

@@ -22,16 +22,19 @@ Run it via ``repro serve --host H --port P --db PATH --cache-dir DIR``
 submit -> stream -> cancel -> shutdown journey.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.registry import DEFAULT_USER, JobRegistry
-from repro.service.server import ServiceServer
-from repro.service.store import RunStore, spec_hash
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_USER",
-    "JobRegistry",
-    "RunStore",
-    "ServiceClient",
-    "ServiceServer",
-    "spec_hash",
-]
+#: Public name -> the module defining it.  Resolved on first use, so a
+#: process that only talks to a server (the client) loads neither the
+#: server nor the scheduler behind it.
+_EXPORTS = {
+    "ServiceClient": "repro.service.client",
+    "DEFAULT_USER": "repro.service.registry",
+    "JobRegistry": "repro.service.registry",
+    "ServiceServer": "repro.service.server",
+    "RunStore": "repro.service.store",
+    "spec_hash": "repro.service.store",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads with the first numpy stream
+    import numpy as np
 
 __all__ = ["derive_seed", "RandomStreams", "STREAM_NAMES"]
 
@@ -101,6 +102,8 @@ class RandomStreams(object):
         The stream is stateful: successive calls continue the sequence.
         """
         if name not in self._np_streams:
+            import numpy as np
+
             self._np_streams[name] = np.random.default_rng(  # repro: allow[determinism.entropy]
                 derive_seed(self._seed, name)
             )
@@ -112,6 +115,8 @@ class RandomStreams(object):
         Use this when the same data must be re-derivable later (e.g. a
         verifier regenerating the exact keys a rank produced).
         """
+        import numpy as np
+
         return np.random.default_rng(  # repro: allow[determinism.entropy]
             derive_seed(self._seed, name)
         )

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ToolError, UnsupportedOperationError
 from repro.hardware.node import Node
 from repro.hardware.platform import Platform
@@ -311,6 +309,8 @@ class Communicator(object):
             raise UnsupportedOperationError(
                 "%s provides no global reduction primitive" % profile.display_name
             )
+        import numpy as np
+
         values = np.asarray(values)
         reduce_tag = self._next_collective_tag("reduce")
         if profile.reduce_algorithm == "binomial":

@@ -17,9 +17,10 @@ does not necessarily imply the better performance for broadcast"
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from repro.errors import ToolError
 from repro.hardware.node import Work
@@ -96,6 +97,8 @@ def multicast_broadcast(comm, root: int, payload: Any, nbytes: Optional[int], ta
 
 def _combine(local: np.ndarray, incoming: np.ndarray, comm):
     """Element-wise sum plus the CPU cost of performing it (generator)."""
+    import numpy as np
+
     local = np.asarray(local)
     incoming = np.asarray(incoming)
     if local.shape != incoming.shape:
@@ -112,6 +115,8 @@ def binomial_reduce(comm, root: int, values: np.ndarray, tag: Any):
 
     Returns the reduced vector on root, ``None`` elsewhere.
     """
+    import numpy as np
+
     size, rank = comm.size, comm.rank
     relative = (rank - root) % size
     local = np.asarray(values)
@@ -132,6 +137,8 @@ def binomial_reduce(comm, root: int, values: np.ndarray, tag: Any):
 
 def linear_reduce(comm, root: int, values: np.ndarray, tag: Any):
     """Root gathers from every rank in turn and combines (generator)."""
+    import numpy as np
+
     local = np.asarray(values)
     if comm.rank != root:
         yield from comm.send(root, payload=local, tag=tag)

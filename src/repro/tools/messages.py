@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 __all__ = ["Message", "sizeof"]
 
 #: Wire size assumed for Python scalars (C int / double on the wire).
@@ -22,8 +20,6 @@ def sizeof(payload: Any) -> int:
     """
     if payload is None:
         return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
     if isinstance(payload, bool):
@@ -38,6 +34,10 @@ def sizeof(payload: Any) -> int:
         return sum(sizeof(item) for item in payload)
     if isinstance(payload, dict):
         return sum(sizeof(key) + sizeof(value) for key, value in payload.items())
+    import numpy as np  # arrays are the one payload type left
+
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
     raise TypeError("cannot estimate wire size of %r" % type(payload).__name__)
 
 

@@ -10,6 +10,7 @@ never duplicate a simulation.
 import pytest
 
 from repro.core.cache import DiskBackend, ResultCache, ShardedBackend
+from repro.core.jobs import canonical_job, execute_job
 from repro.core.scheduler import (
     JobTelemetry,
     ProcessPoolExecutor,
@@ -54,7 +55,9 @@ class TestKillAndResume:
     def test_resume_simulates_only_missing_jobs(self, tmp_path):
         """The acceptance scenario: a sweep interrupted partway and
         re-launched with the same cache dir finishes with
-        ``simulations_run`` equal to exactly the missing jobs."""
+        ``simulations_run`` equal to exactly the missing jobs.  The
+        spec is seed-insensitive, so the missing jobs are its distinct
+        canonical (seed-0) jobs less the finished ones."""
         spec = tiny_spec(seeds=(0, 1, 2))
         cache_dir = str(tmp_path / "cache")
 
@@ -66,8 +69,10 @@ class TestKillAndResume:
         # "New process": fresh Scheduler, fresh backend, same dir.
         resumed = Scheduler(cache_dir=cache_dir)
         result = resumed.run(spec)
-        assert resumed.simulations_run == spec.job_count() - len(partial)
+        canonical = {canonical_job(job) for job in spec.jobs()}
+        assert resumed.simulations_run == len(canonical - set(partial))
         assert resumed.cache.hits == len(partial)
+        assert all(result.values[job] == execute_job(job) for job in spec.jobs())
 
         # And the multi-seed statistics the acceptance criteria ask
         # for: mean ±95% CI across the 3 seeds, rendered per cell.

@@ -222,6 +222,18 @@ class TestBrokenPoolRecovery:
 
 
 class TestSchedulerIntegration:
+    def test_seed_siblings_are_served_across_windows(self, executor):
+        """Seed-insensitive jobs run once, as their seed-0 job; the
+        other seeds' jobs get that sample whether it is still in the
+        backend's window or already back when they arrive."""
+        spec = tiny_spec(tools=("p4",), seeds=(1, 2, 3))
+        scheduler = Scheduler(executor=executor)
+        scheduler.PROBE_CHUNK = 4
+        result = scheduler.run(spec)
+        assert result.values == {job: execute_job(job) for job in spec.jobs()}
+        assert list(result.values) == spec.jobs()
+        assert scheduler.simulations_run == spec.job_count() // 3
+
     def test_values_and_telemetry_agree_across_backends(self, executor):
         """Simulations are deterministic, so the backend is invisible
         in the values and visible only in telemetry provenance."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -156,6 +158,23 @@ class TestEvaluate:
         second = capsys.readouterr().out
         assert "0 simulations scored" in second
         assert "%s: 0 simulated" % cache_dir in second
+
+    @pytest.mark.slow
+    def test_cache_summary_counts_every_job(self, capsys, tmp_path):
+        """Simulated plus served is the job count: a seed-collapsed job
+        is served within the pass without a cache probe of its own."""
+        from repro.core.spec import EvaluationSpec
+
+        cache_dir = str(tmp_path / "cache")
+        assert main(["evaluate", "--tools", "p4", "--processors", "2",
+                     "--seeds", "0", "1", "2", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"%s: (\d+) simulated, (\d+) served from disk"
+                          % re.escape(cache_dir), out)
+        simulated, served = int(match.group(1)), int(match.group(2))
+        jobs = EvaluationSpec(tools=("p4",), processors=2, seeds=(0, 1, 2)).job_count()
+        assert simulated + served == jobs
+        assert 0 < simulated < jobs
 
     @pytest.mark.slow
     def test_seeds_and_stats_report_confidence_intervals(self, capsys, tmp_path):
