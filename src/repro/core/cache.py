@@ -307,7 +307,10 @@ class DiskBackend(CacheBackend):
     leaves no partial *entry* behind.  It can leave an orphaned
     ``*.tmp`` file, though — those are swept by :meth:`clear` and
     (age-guarded) on every open, so kill-and-resume cycles do not
-    accumulate litter.
+    accumulate litter.  Storing a sample the entry already holds is a
+    read, not a write: a remote worker persists each sample before the
+    coordinator's scheduler stores it again, and the second store
+    leaves the file (inode and mtime) as it was.
 
     A small read-through memo avoids re-parsing a file on repeated
     lookups within one process; durability always comes from disk.
@@ -410,13 +413,24 @@ class DiskBackend(CacheBackend):
         return results
 
     def put(self, key: str, value: Optional[float], job: Optional[MeasurementJob] = None) -> None:
+        path = self._path(key)
+        existing = self._read_entry(path)
+        if (
+            existing is not None
+            and existing["seconds"] == value
+            and (job is None or existing.get("job") is not None)
+        ):
+            # Already durable under this content address: a rewrite
+            # would change nothing but the inode.
+            with self._lock:
+                self._memo[key] = value
+            return
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             "seconds": value,
             "job": job.to_dict() if job is not None else None,
         }
-        path = self._path(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.core.executors import Executor, JobOutcome
 from repro.core.jobs import MeasurementJob
-from repro.distributed.queue import JobQueue
+from repro.distributed.queue import MIN_POLL_SECONDS, JobQueue
 from repro import errors as _errors
 from repro.errors import EvaluationError
 
@@ -74,7 +74,10 @@ class RemoteExecutor(Executor):
         The actual fleet may be larger or smaller; this knob only
         shapes pipelining and backpressure.
     poll_interval:
-        Sleep between outcome-directory polls.
+        The longest sleep between outcome-directory polls: each
+        awaited ticket starts at
+        :data:`~repro.distributed.queue.MIN_POLL_SECONDS` and doubles
+        up to this cap.
     timeout:
         Max seconds to wait for any single outcome (None = forever).
         Guards against a queue nobody is serving.
@@ -175,6 +178,7 @@ class RemoteExecutor(Executor):
             time.monotonic() + self.timeout if self.timeout is not None else None
         )
         sweep_at = time.monotonic() + queue.lease_timeout
+        delay = min(MIN_POLL_SECONDS, self.poll_interval)
         while True:
             outcome = queue.take_outcome(ticket)
             if outcome is not None:
@@ -198,4 +202,5 @@ class RemoteExecutor(Executor):
                 # worker is busy (or gone).
                 queue.reclaim_stale()
                 sweep_at = now + queue.lease_timeout
-            time.sleep(self.poll_interval)
+            time.sleep(delay)
+            delay = min(2.0 * delay, self.poll_interval)

@@ -18,7 +18,10 @@ is the whole concurrency story:
 * **claim** is ``os.replace(jobs/T, claims/T)``.  Rename is atomic on
   POSIX, so exactly one of N racing workers wins; the losers get
   ``FileNotFoundError`` and move on.  The claim file *is* the lease,
-  and its mtime is refreshed by the worker's heartbeat.
+  and its mtime is refreshed by the worker's heartbeat.  The lease
+  starts at claim: the ticket's mtime is touched just before the
+  rename (which keeps it), so a ticket that sat in ``jobs/`` — or
+  came back there through reclaim — is not born stale.
 * **complete** atomically publishes ``outcomes/<ticket>.json`` and
   releases the lease.
 * **reclaim** moves a claim whose heartbeat went stale back to
@@ -49,6 +52,13 @@ _JOBS = "jobs"
 _CLAIMS = "claims"
 _OUTCOMES = "outcomes"
 _WORKERS = "workers"
+
+#: First sleep of an idle poll loop on either end of the queue (worker
+#: claims, coordinator outcome pickup).  Sleeps double from here up to
+#: the caller's ``poll_interval`` and restart here after activity, so
+#: work that lands a few milliseconds after a look is seen a few
+#: milliseconds later instead of a whole poll interval later.
+MIN_POLL_SECONDS = 0.001
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
@@ -165,9 +175,14 @@ class JobQueue(object):
         drained.  Exactly one of N racing claimants wins any ticket
         (atomic rename); everyone else silently moves to the next."""
         for ticket in self._tickets(_JOBS):
+            job_path = self._path(_JOBS, ticket)
             claim_path = self._path(_CLAIMS, ticket)
             try:
-                os.replace(self._path(_JOBS, ticket), claim_path)
+                # Rename keeps the mtime, and the mtime is the lease:
+                # without the touch a ticket older than lease_timeout
+                # would be stealable before its first heartbeat.
+                os.utime(job_path)
+                os.replace(job_path, claim_path)
             except OSError:
                 continue  # lost the race (or a revocation) — next ticket
             payload = _read_json(claim_path)

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional
 
 from repro.core import executors as _executors
 from repro.core.cache import MISSING, ResultCache
-from repro.distributed.queue import Claim, JobQueue
+from repro.distributed.queue import MIN_POLL_SECONDS, Claim, JobQueue
 from repro.errors import EvaluationError
 
 __all__ = ["Worker", "WorkerPool"]
@@ -47,7 +47,11 @@ class Worker(object):
     worker_id:
         Stable identity for leases/beacons; default is host+pid+nonce.
     poll_interval:
-        Sleep between claim attempts when the queue is empty.
+        The longest sleep between claim attempts when the queue is
+        empty.  Idle sleeps start at
+        :data:`~repro.distributed.queue.MIN_POLL_SECONDS` after
+        every processed ticket and double up to this cap, so a settled
+        idle worker polls at this rate and a busy one barely waits.
     heartbeat_interval:
         Lease-refresh period; defaults to a quarter of the queue's
         lease timeout so a healthy worker can miss several beats
@@ -185,15 +189,18 @@ class Worker(object):
         heartbeat.start()
         self.queue.heartbeat_worker(self.worker_id, self.stats())
         idle_since: Optional[float] = None
+        shortest = wait = min(MIN_POLL_SECONDS, self.poll_interval)
         try:
             while not self._stop.is_set():
                 if self.max_jobs is not None and self.processed >= self.max_jobs:
                     break
                 if self.run_one():
                     idle_since = None
+                    wait = shortest
                     continue
                 # Empty queue: give dead peers' leases back to the
-                # pool, tidy abandoned outcomes, then idle briefly.
+                # pool, tidy abandoned outcomes, then idle — briefly
+                # at first, backing off toward poll_interval.
                 self.queue.reclaim_stale()
                 self.queue.sweep_outcomes()
                 now = time.monotonic()
@@ -204,7 +211,8 @@ class Worker(object):
                     and now - idle_since >= self.idle_seconds
                 ):
                     break
-                self._stop.wait(self.poll_interval)
+                self._stop.wait(wait)
+                wait = min(2.0 * wait, self.poll_interval)
         finally:
             self._stop.set()
             heartbeat.join()

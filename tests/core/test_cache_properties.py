@@ -8,10 +8,16 @@ The properties themselves:
 * any :class:`MeasurementJob` stored in a :class:`DiskBackend` reads
   back equal — value through a fresh backend over the same directory,
   and the job itself reconstructed from the on-disk entry;
+* storing the same sample again writes nothing (same inode and mtime,
+  no temp file) but still serves later reads from the memo, while a
+  different sample, a torn file, a stale-schema file or an entry
+  without its job under the key is overwritten;
 * :class:`ShardedBackend` routes every key to exactly one shard, and
   any two processes holding the same roster agree on the placement.
 """
 
+import json
+import os
 import random
 import string
 import tempfile
@@ -19,6 +25,7 @@ import tempfile
 import pytest
 
 from repro.core.cache import (
+    CACHE_SCHEMA_VERSION,
     MISSING,
     DiskBackend,
     MemoryBackend,
@@ -82,6 +89,43 @@ def check_disk_round_trip(seed: int) -> None:
         assert entries == [(job, value)]
         assert entries[0][0] == job  # reconstructed job hashes equal
         assert hash(entries[0][0]) == hash(job)
+        check_idempotent_put(root, job, value)
+
+
+def check_idempotent_put(root: str, job: MeasurementJob, value) -> None:
+    """Re-storing the entry's own sample is a no-op on disk; anything
+    else sitting under the key is replaced by the stored sample."""
+    key = job_key(job)
+    path = os.path.join(root, key[:2], key + ".json")
+
+    def identity():
+        stat = os.stat(path)
+        return stat.st_ino, stat.st_mtime_ns
+
+    before = identity()
+    again = DiskBackend(root)
+    again.put(key, value, job)
+    assert identity() == before
+    assert not [name for name in os.listdir(os.path.dirname(path))
+                if name.endswith(".tmp")]
+    os.unlink(path)
+    assert again.get(key) == value  # the skip path filled the memo
+
+    entry = {"schema": CACHE_SCHEMA_VERSION, "key": key,
+             "seconds": 1.0 if value is None else None, "job": job.to_dict()}
+    damages = {
+        "other-value": json.dumps(entry),
+        "torn": json.dumps(entry)[:20],
+        "stale-schema": json.dumps(dict(entry, schema=CACHE_SCHEMA_VERSION - 1,
+                                        seconds=value)),
+        "no-job": json.dumps(dict(entry, seconds=value, job=None)),
+    }
+    for damage, text in damages.items():
+        with open(path, "w") as handle:
+            handle.write(text)
+        DiskBackend(root).put(key, value, job)
+        assert DiskBackend(root).get(key) == value, damage
+        assert list(DiskBackend(root).entries()) == [(job, value)], damage
 
 
 def check_sharded_routing(seed: int) -> None:

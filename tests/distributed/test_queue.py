@@ -122,6 +122,27 @@ class TestLeases:
         queue.claim("w1")
         assert queue.reclaim_stale() == 0
 
+    def test_lease_starts_at_claim_not_at_enqueue(self, tmp_path):
+        """Rename keeps the mtime: a ticket that waited in jobs/ longer
+        than the lease must still be safe from sweepers until its
+        first heartbeat — otherwise it is stolen and runs twice."""
+        queue = make_queue(tmp_path, lease_timeout=10.0)
+        queue.enqueue("t-000", JOB)
+        # The ticket sat unclaimed for longer than a lease.
+        backdate(os.path.join(queue.root, "jobs", "t-000.json"), 60.0)
+        queue.claim("w-live")
+        assert queue.reclaim_stale() == 0
+        assert queue.claimed() == ["t-000"]
+
+    def test_reclaimed_ticket_gets_a_fresh_lease(self, tmp_path):
+        queue = make_queue(tmp_path, lease_timeout=10.0)
+        queue.enqueue("t-000", JOB)
+        backdate(queue.claim("w-dead").path, 60.0)
+        assert queue.reclaim_stale() == 1  # back in jobs/, still backdated
+        assert queue.claim("w-live").ticket == "t-000"
+        assert queue.reclaim_stale() == 0
+        assert queue.claimed() == ["t-000"]
+
     def test_completion_after_reclaim_is_harmless(self, tmp_path):
         """The dead-but-not-really worker completes *after* its lease
         was stolen: its outcome still publishes (deterministic value,

@@ -241,6 +241,68 @@ class TestFailureTransport:
                           OSError)
 
 
+#: 1, 2, 4, 8 ms, then capped at a 10 ms poll_interval.
+BACKOFF = [0.001, 0.002, 0.004, 0.008, 0.01, 0.01]
+
+
+class TestPollBackoff:
+    """Idle sleeps on both ends of the queue start at 1 ms after
+    activity and double up to ``poll_interval``.  Every wait is
+    recorded rather than slept, so these tests never sleep."""
+
+    def test_worker_backs_off_and_resets_after_each_ticket(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "queue"))
+        cache = ResultCache()
+        job = tiny_spec(tools=("p4",)).jobs()[0]
+        cache.store(job, 1.5)  # served as a cache hit: nothing simulates
+        worker = Worker(queue, cache, poll_interval=0.01,
+                        heartbeat_interval=3600.0)
+        loop = threading.current_thread()
+        waits = []
+
+        class RecordingStop(threading.Event):
+            def wait(self, timeout=None):
+                if threading.current_thread() is not loop:
+                    return super().wait(timeout)  # the heartbeat thread
+                waits.append(timeout)
+                if len(waits) == len(BACKOFF):
+                    queue.enqueue("t-000000", job)
+                elif len(waits) >= len(BACKOFF) + 3:
+                    self.set()
+                return self.is_set()
+
+        worker._stop = RecordingStop()
+        stats = worker.run()
+        assert stats["processed"] == 1 and stats["cache_hits"] == 1
+        assert waits == pytest.approx(BACKOFF + BACKOFF[:3])
+
+    def test_coordinator_backs_off_and_resets_per_ticket(self, tmp_path, monkeypatch):
+        import repro.distributed.executor as executor_module
+
+        queue = JobQueue(str(tmp_path / "queue"))
+        executor = RemoteExecutor(queue_dir=queue.root, max_workers=1,
+                                  poll_interval=0.01)
+        sleeps = []
+
+        def serve_one():
+            claim = queue.claim("w-manual")
+            queue.complete(claim, {"ticket": claim.ticket, "value": 1.25,
+                                   "wall_seconds": 0.01, "attempts": 1,
+                                   "cache_hit": False, "error": None})
+
+        def record(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) in (len(BACKOFF), len(BACKOFF) + 3):
+                serve_one()
+            assert len(sleeps) < 50, "the coordinator never saw an outcome"
+
+        monkeypatch.setattr(executor_module.time, "sleep", record)
+        outcomes = list(executor.submit(tiny_spec(tools=("p4",)).jobs()[:2]))
+        assert [outcome.value for outcome in outcomes] == [1.25, 1.25]
+        # Ticket 0 waited out the whole ramp; ticket 1 started over.
+        assert sleeps == pytest.approx(BACKOFF + BACKOFF[:3])
+
+
 class TestWorkerKnobs:
     def test_max_jobs_bounds_the_loop(self, tmp_path):
         queue = JobQueue(str(tmp_path / "queue"))
