@@ -52,12 +52,17 @@ def partition_by_pivots(sorted_block: np.ndarray, pivots: np.ndarray) -> List[np
 
 
 def merge_sorted_runs(runs: List[np.ndarray]) -> np.ndarray:
-    """K-way merge of sorted runs (via concatenate + sort of runs;
-    the charged cost below is that of a true linear k-way merge)."""
+    """K-way merge of sorted runs, computed as concatenate plus sort.
+
+    The charged cost (:func:`merge_work`) is that of a true linear
+    k-way merge.  For integer keys every sort algorithm yields the same
+    array, so the host uses numpy's default sort, which is faster than
+    ``kind="mergesort"`` even on presorted runs.
+    """
     if not runs:
         return np.array([], dtype=np.int64)
     merged = np.concatenate(runs)
-    merged.sort(kind="mergesort")
+    merged.sort()
     return merged
 
 

@@ -167,17 +167,20 @@ class Node(object):
 
         Concurrent callers interleave at quantum granularity, like
         runnable processes on a single-CPU workstation; total CPU time
-        on a node is conserved regardless of interleaving.
+        on a node is conserved regardless of interleaving.  Each slice
+        is one :meth:`~repro.sim.Resource.hold` of the CPU (claim,
+        sleep one quantum or less, release), so a slice costs the
+        caller one resume.
         """
         if seconds < 0:
             raise ValueError("negative CPU time %r" % (seconds,))
+        cpu = self.cpu
+        quantum = self.quantum_seconds
         remaining = seconds
         while remaining > 0.0:
-            with self.cpu.request() as claim:
-                yield claim
-                timeslice = min(remaining, self.quantum_seconds)
-                yield self.env.timeout(timeslice)
-                remaining -= timeslice
+            timeslice = min(remaining, quantum)
+            yield cpu.hold(timeslice)
+            remaining -= timeslice
 
     def execute(self, work: Work):
         """Occupy the CPU long enough to perform ``work`` (generator)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.base import Network
-from repro.sim import Environment, Resource, Tracer
+from repro.sim import Environment, Hold, Resource, Tracer
 
 __all__ = ["AtmLan", "AtmWan"]
 
@@ -87,9 +87,9 @@ class AtmLan(Network):
         stream_time = self.cell_stream_seconds(nbytes)
         # Hold the sender's output port and the receiver's input port
         # for the duration of the stream; the switch core never blocks.
-        yield from self._stream_through_ports(
-            self._out_ports[src], self._in_ports[dst], stream_time
-        )
+        # Output is claimed first and released first, so rival grants
+        # fire in a fixed order.
+        yield Hold((self._out_ports[src], self._in_ports[dst]), (stream_time,))
         yield self.env.timeout(
             self.switch_latency_seconds + self._jitter_seconds() + self.propagation_seconds
         )

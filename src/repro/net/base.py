@@ -234,11 +234,12 @@ class Network(object):
     # Every medium's ``transfer`` is some composition of three shapes:
     # a per-frame claim/transmit loop over an exclusive medium
     # (Ethernet), a single hold of one resource for a stream (FDDI's
-    # token), or a hold of an (output port, input port) pair (ATM, the
-    # Allnode crossbar).  The helpers below implement those shapes once
-    # — and give the per-frame loop a *bulk fast path*: while nobody
-    # else wants the medium, a run of frames collapses into a single
-    # scheduled event instead of a claim/timeout cycle per frame.
+    # token, ``Resource.hold``), or a hold of an (output port, input
+    # port) pair (ATM, the Allnode crossbar; one ``sim.Hold`` over
+    # both).  The helpers below implement the per-frame loop and give
+    # it a *bulk fast path*: while nobody else wants the medium, a run
+    # of frames collapses into a single scheduled event instead of a
+    # claim/timeout cycle per frame.
     # ------------------------------------------------------------------
 
     def _coalesced_frames(self, medium: Resource, nbytes: int, backoff_rng=None,
@@ -290,8 +291,9 @@ class Network(object):
                     # Uncontended: coalesce every remaining frame.
                     started = env.now
                     target = started
-                    for index in range(sent, frames):
-                        target += full_seconds if index < frames - 1 else last_seconds
+                    for _ in range(sent, frames - 1):
+                        target += full_seconds
+                    target += last_seconds
                     if (yield from self._hold_uncontended(medium, target)):
                         done = frames - sent
                     else:
@@ -324,8 +326,13 @@ class Network(object):
                                          else last_seconds)
                             yield env.timeout_until(boundary)
                             done += 1
-                    for index in range(sent, sent + done):
-                        busy_total += full_seconds if index < frames - 1 else last_seconds
+                    # The per-frame path's left-to-right sum: full
+                    # frames, then the last one if this run sent it.
+                    full_frames = min(done, frames - 1 - sent)
+                    for _ in range(full_frames):
+                        busy_total += full_seconds
+                    if full_frames < done:
+                        busy_total += last_seconds
                     sent += done
             finally:
                 medium.release(claim)
@@ -354,36 +361,3 @@ class Network(object):
         finally:
             resource.unwatch_contention(notice)
         return expiry.processed
-
-    def _hold_for(self, resource: Resource, *delays: float):
-        """Claim ``resource``, sleep through ``delays`` in order, release.
-
-        Generator.  The single-resource stream shape (FDDI's token):
-        identical event sequence to an inline ``with request()`` block.
-        """
-        claim = resource.request()
-        try:
-            yield claim
-            for delay in delays:
-                yield self.env.timeout(delay)
-        finally:
-            resource.release(claim)
-
-    def _stream_through_ports(self, out_port: Resource, in_port: Resource,
-                              stream_seconds: float):
-        """Hold the (sender output, receiver input) port pair for one stream.
-
-        Generator.  The switched-fabric shape (ATM, Allnode): ports are
-        acquired in output-then-input order and both released — output
-        first, so rival grants fire in the established order — when the
-        stream's wire time has elapsed.
-        """
-        out_claim = out_port.request()
-        yield out_claim
-        in_claim = in_port.request()
-        yield in_claim
-        try:
-            yield self.env.timeout(stream_seconds)
-        finally:
-            out_port.release(out_claim)
-            in_port.release(in_claim)

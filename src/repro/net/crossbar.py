@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.base import FrameFormat, Network
-from repro.sim import Environment, Resource, Tracer
+from repro.sim import Environment, Hold, Resource, Tracer
 
 __all__ = ["AllnodeSwitch"]
 
@@ -65,9 +65,8 @@ class AllnodeSwitch(Network):
         self.validate_endpoints(src, dst)
         start = self.env.now
         stream_time = self.stream_seconds(nbytes)
-        yield from self._stream_through_ports(
-            self._out_ports[src], self._in_ports[dst], stream_time
-        )
+        # Output port then input port, as on the ATM switch.
+        yield Hold((self._out_ports[src], self._in_ports[dst]), (stream_time,))
         yield self.env.timeout(
             self.switch_latency_seconds + self._jitter_seconds() + self.propagation_seconds
         )

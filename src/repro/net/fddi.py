@@ -81,7 +81,7 @@ class FddiRing(Network):
         wire_total = self.frame_format.total_wire_bytes(nbytes)
         busy_total = wire_total * 8.0 / self.rate_bps
         token_wait = self.token_latency_seconds + self._jitter_seconds()
-        yield from self._hold_for(self._token, token_wait, busy_total)
+        yield self._token.hold(token_wait, busy_total)
         yield self.env.timeout(self.propagation_seconds)
         self._record(src, dst, nbytes, wire_total, busy_total)
         return self.env.now - start

@@ -12,7 +12,7 @@ Public API
     Event primitives processes can ``yield``.
 :class:`Process`, :class:`Interrupt`
     Process handle and the interrupt exception.
-:class:`Resource`, :class:`Store`, :class:`FilterStore`
+:class:`Resource`, :class:`Hold`, :class:`Store`, :class:`FilterStore`
     Shared-resource primitives.
 :class:`RandomStreams`
     Named deterministic random streams.
@@ -34,7 +34,7 @@ from repro.sim.events import (
 )
 from repro.sim.kernel import Environment, Infinity
 from repro.sim.process import Process
-from repro.sim.resources import FilterStore, Request, Resource, Store
+from repro.sim.resources import FilterStore, Hold, Request, Resource, Store
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
@@ -46,6 +46,7 @@ __all__ = [
     "Environment",
     "Event",
     "FilterStore",
+    "Hold",
     "Infinity",
     "Interrupt",
     "NullTracer",

@@ -4,7 +4,8 @@ Three primitives cover everything the substrates need:
 
 * :class:`Resource` — a counted semaphore with a FIFO wait queue; models
   exclusive media (an Ethernet segment, a token) or multi-unit capacity
-  (switch ports).
+  (switch ports).  :class:`Hold` claims one or more of them, sleeps and
+  releases, all as one event a process yields once.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``;
   models mailboxes and daemon input queues.
 * :class:`FilterStore` — a store whose ``get`` can wait for an item
@@ -14,11 +15,11 @@ Three primitives cover everything the substrates need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
-__all__ = ["Request", "Release", "Resource", "StorePut", "StoreGet", "Store", "FilterStore"]
+__all__ = ["Request", "Hold", "Resource", "StorePut", "StoreGet", "Store", "FilterStore"]
 
 
 class Request(Event):
@@ -34,7 +35,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super(Request, self).__init__(resource._env)
+        # Every CPU slice and medium claim builds one of these: set the
+        # Event fields directly rather than dispatching to its __init__.
+        self.env = resource._env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.resource = resource
         resource._do_request(self)
 
@@ -45,15 +52,75 @@ class Request(Event):
         self.resource.release(self)
 
     def cancel(self) -> None:
-        """Withdraw a not-yet-granted request from the wait queue."""
+        """Withdraw a not-yet-granted request from the wait queue.
+
+        Idempotent: cancelling a request that already left the queue
+        does nothing.
+        """
         if not self.triggered:
-            self.resource._waiters.remove(self)
+            try:
+                self.resource._waiters.remove(self)
+            except ValueError:
+                pass
 
 
-class Release(Event):
-    """Event that fires immediately once a claim has been returned."""
+class Hold(Event):
+    """Claim ``resources`` in order, sleep through ``delays``, release.
 
-    __slots__ = ()
+    One event stands for the whole cycle a process would otherwise
+    spell as ``with request(): yield claim; yield timeout(d)`` (one
+    claim per resource, one timeout per delay).  The process yields it
+    once and resumes once, when the last delay has elapsed and every
+    claim has been returned.
+
+    The event sequence is the inline loop's, minus the resumes: each
+    grant's callback makes the next claim or arms the next delay at the
+    instant, and in the heap-sequence slot, the resumed generator would
+    have.  When the hold fires, its first callback releases the claims
+    in claim order (so rival grants are scheduled in the inline loop's
+    order) before the waiting process resumes.  An interrupt of the
+    waiting process does not cut the hold short.
+    """
+
+    __slots__ = ("_resources", "_delays", "_claims")
+
+    def __init__(self, resources: Sequence["Resource"], delays: Sequence[float]) -> None:
+        if not resources or not delays:
+            raise ValueError("a hold needs at least one resource and one delay")
+        if min(delays) < 0:
+            raise ValueError("negative delay %r" % (min(delays),))
+        self.env = resources[0]._env
+        self.callbacks = [self._release]
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self._resources = resources
+        self._delays = delays
+        self._claims: List[Request] = []
+        self._advance(None)
+
+    def _advance(self, _event: Optional[Event]) -> None:
+        """Take the next claim, or arm the next delay (grant callback)."""
+        claims = self._claims
+        taken = len(claims)
+        if taken < len(self._resources):
+            claim = Request(self._resources[taken])
+            claims.append(claim)
+            claim.callbacks.append(self._advance)
+            return
+        # Every claim is granted; the remaining delays run in turn.
+        delays = self._delays
+        if len(delays) > 1:
+            self._delays = delays[1:]
+            self.env.timeout(delays[0]).callbacks.append(self._advance)
+        else:
+            self._ok = True
+            self._value = None
+            self.env.schedule(self, delays[0])
+
+    def _release(self, _event: Event) -> None:
+        for claim in self._claims:
+            claim.resource.release(claim)
 
 
 class Resource(object):
@@ -101,6 +168,17 @@ class Resource(object):
         """Claim one unit; the returned event fires when granted."""
         return Request(self)
 
+    def hold(self, *delays: float) -> Hold:
+        """Claim one unit, sleep through ``delays`` in order, release.
+
+        Returns one :class:`Hold` event.  A process that yields it
+        resumes, with the unit already released, at the time and in
+        the order the inline ``with request(): yield claim; yield
+        timeout(...)`` loop would have finished: one resume instead of
+        one per claim and delay.
+        """
+        return Hold((self,), delays)
+
     def watch_contention(self, callback: Callable[[Request], None]) -> None:
         """Invoke ``callback(request)`` whenever a request must queue.
 
@@ -119,24 +197,25 @@ class Resource(object):
         except ValueError:
             pass
 
-    def release(self, request: Request) -> Release:
-        """Return a previously granted claim.
+    def release(self, request: Request) -> None:
+        """Return a previously granted claim; takes effect at once.
 
         Releasing an ungranted (queued) request cancels it instead.
+        No event is scheduled: the next waiter's grant is the only
+        event a release causes.
         """
         if request in self._users:
             self._users.remove(request)
             self._grant_next()
         else:
             request.cancel()
-        release = Release(self._env)
-        release.succeed()
-        return release
 
     def _do_request(self, request: Request) -> None:
         if len(self._users) < self._capacity:
             self._users.append(request)
-            request.succeed()
+            request._ok = True  # request.succeed(), minus its checks
+            request._value = None
+            self._env.schedule(request)
         else:
             self._waiters.append(request)
             if self._contention_watchers:
@@ -147,7 +226,9 @@ class Resource(object):
         while self._waiters and len(self._users) < self._capacity:
             request = self._waiters.popleft()
             self._users.append(request)
-            request.succeed()
+            request._ok = True
+            request._value = None
+            self._env.schedule(request)
 
 
 class StorePut(Event):

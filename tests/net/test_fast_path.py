@@ -2,11 +2,12 @@
 
 The network layer coalesces runs of frames on an uncontended medium
 into single closed-form holds (``Network._coalesced_frames``) and the
-stream media route through shared helpers.  These tests pin the whole
-point of that design: simulated timestamps, returned durations,
-``NetworkStats`` and tracer records are **bit-identical** (``==``, not
-``approx``) to the original per-frame / inline implementations, in
-uncontended *and* contended runs, with and without seeded backoff.
+stream media hold their token or port pair as one ``sim.Hold``.  These
+tests pin the whole point of that design: simulated timestamps,
+returned durations, ``NetworkStats`` and tracer records are
+**bit-identical** (``==``, not ``approx``) to the original per-frame /
+inline implementations, in uncontended *and* contended runs, with and
+without seeded backoff.
 
 Each reference implementation below is a frozen copy of the pre-fast-
 path ``transfer`` body, driven against a fresh instance of the same

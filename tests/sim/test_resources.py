@@ -96,6 +96,30 @@ class TestResource:
         resource.release(first)
         assert resource.count == 0
 
+    def test_releasing_a_queued_request_twice_is_harmless(self, env):
+        """Regression: the second release used to raise ``ValueError``
+        (``deque.remove``) because ``Request.cancel`` was not idempotent."""
+        resource = Resource(env, capacity=1)
+        first = resource.request()
+        second = resource.request()
+        third = resource.request()
+        resource.release(second)
+        resource.release(second)
+        second.cancel()
+        assert resource.queue_length == 1
+        resource.release(first)
+        assert resource.count == 1
+        assert not second.triggered
+        env.run()
+        assert third.processed
+
+    def test_release_schedules_no_event(self, env):
+        resource = Resource(env, capacity=1)
+        claim = resource.request()
+        env.run()
+        assert resource.release(claim) is None
+        assert env.peek() == float("inf")
+
     def test_context_manager_releases_on_exception(self, env):
         resource = Resource(env, capacity=1)
 
