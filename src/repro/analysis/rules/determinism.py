@@ -1,13 +1,12 @@
 """Determinism rules: simulation code owns no clock and no dice.
 
 Bit-reproducibility is the repo's core contract — the golden
-fixtures, the analytic engine's conditional bit-identity and the
-content-addressed cache all depend on a job ``(kind, tool, platform,
-params, seed, noise)`` always producing the same sample.  That only
-holds if the simulation-adjacent trees (``sim``, ``net``, ``tools``,
-``analytic``, ``apps``) draw every random number from a named
-:class:`~repro.sim.rng.RandomStreams` stream and read time only from
-``Environment.now``:
+fixtures and the content-addressed cache both depend on a job
+``(kind, tool, platform, params, seed, noise)`` always producing the
+same sample.  That only holds if the simulation-adjacent trees
+(``sim``, ``net``, ``tools``, ``apps``) draw every random number from
+a named :class:`~repro.sim.rng.RandomStreams` stream and read time
+only from ``Environment.now``:
 
 * :class:`WallClockRule` — no ``time.time()`` / ``time.monotonic()``
   / ``datetime.now()`` and friends inside the scoped trees (host
@@ -48,7 +47,7 @@ __all__ = [
 #: path components, so the rules fire identically on the real
 #: ``src/repro/sim/...`` tree and on test fixture trees that mirror
 #: the layout.
-SCOPED_DIRS = frozenset({"sim", "net", "tools", "analytic", "apps"})
+SCOPED_DIRS = frozenset({"sim", "net", "tools", "apps"})
 
 #: Wall-clock and sleep entry points (dotted names after alias
 #: resolution).  ``datetime.datetime.now`` covers ``datetime.now(tz)``

@@ -64,7 +64,6 @@ def run_evaluation(
     stats: bool = False,
     echo: bool = False,
     on_event=None,
-    engine: str = "event",
     history_db: Optional[str] = None,
     history_label: Optional[str] = None,
 ):
@@ -101,12 +100,6 @@ def run_evaluation(
         (job started/finished, cache hits, completion) — the hook for
         progress bars and dashboards.  May fire from
         executor-internal threads.
-    engine:
-        ``"event"`` (default) simulates every cache miss;
-        ``"analytic"`` answers every miss from the closed-form models
-        in :mod:`repro.analytic` (raising on ineligible jobs);
-        ``"auto"`` answers eligible misses analytically and simulates
-        the rest.  Telemetry marks each sample's engine.
     history_db:
         Optional path to a run-history database
         (:class:`~repro.history.HistoryStore`): the finished run is
@@ -128,7 +121,6 @@ def run_evaluation(
         cache=cache,
         cache_dir=cache_dir,
         shards=shards,
-        engine=engine,
     ) as scheduler:
         result_set = scheduler.run(spec, on_event=on_event)
     if echo:

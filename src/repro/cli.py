@@ -90,28 +90,13 @@ simulated variance:
         --profile balanced end-user --seeds 0 1 2 --noise \\
         --cache-dir .repro-cache --jobs 4 --stats --json sweep.json
 
-analytic engine:
-  --engine picks how cache misses are answered.  event (default)
-  simulates every job on the discrete-event kernel.  analytic
-  evaluates whole (platform, tool, size) sub-grids as vectorized
-  closed-form timing curves — bit-identical to the kernel on every
-  job it admits (noise-free, uncontended traffic patterns) and
-  orders of magnitude faster — and errors on jobs it cannot admit.
-  auto is the practical mode: eligible jobs are computed
-  analytically, everything else (noise, ring traffic, contended
-  collectives, application kernels) falls back to the event kernel.
-  A curve-level cache above the job-level cache makes re-sweeps of
-  the same configurations (fresh seeds included) near-free; per-job
-  telemetry in --json marks each sample's engine.
-
 streaming execution:
   Sweeps run through the streaming scheduler (Scheduler.start ->
   RunHandle).  --progress narrates the run live on stderr —
   done/total, simulated vs cache-hit counts and an ETA — while stdout
   keeps only the report (safe to pipe/--json).  --backend picks the
   executor: serial, process (worker processes; the default for
-  --jobs > 1), async (an asyncio event loop, --jobs concurrent
-  simulations) or remote (see below).  --jobs auto sizes the pool to
+  --jobs > 1) or remote (see below).  --jobs auto sizes the pool to
   the machine's CPUs.  Ctrl-C cancels cooperatively: in-flight jobs
   finish and persist, so an interrupted sweep resumes over the same
   --cache-dir exactly like a killed one.
@@ -161,22 +146,13 @@ distributed execution:
                                "'auto' = one per CPU); the pool starts once "
                                "and is reused across every scheduler pass "
                                "of the run")
-    evaluate.add_argument("--engine",
-                          choices=("event", "analytic", "auto"),
-                          default="event",
-                          help="how cache misses are answered: event "
-                               "simulates every job; analytic computes "
-                               "closed-form curves (bit-identical, errors "
-                               "on ineligible jobs); auto computes where "
-                               "eligible and simulates the rest")
     evaluate.add_argument("--backend",
-                          choices=("serial", "process", "async", "remote"),
+                          choices=("serial", "process", "remote"),
                           default=None,
                           help="executor backend (default: serial for "
-                               "--jobs 1, process otherwise; async runs "
-                               "--jobs simulations on an asyncio loop; "
-                               "remote coordinates `repro worker` "
-                               "processes over --queue)")
+                               "--jobs 1, process otherwise; remote "
+                               "coordinates `repro worker` processes "
+                               "over --queue)")
     evaluate.add_argument("--queue", metavar="DIR", default=None,
                           help="shared job-queue directory for "
                                "--backend remote (the one your "
@@ -271,7 +247,7 @@ worker-pull execution:
 invariant checks (pure ast analysis; nothing is imported or run):
 
   determinism.wall-clock   no time.time()/monotonic()/datetime.now()
-                           inside sim|net|tools|analytic|apps —
+                           inside sim|net|tools|apps —
                            simulated code reads Environment.now only.
   determinism.entropy      no random.*/numpy.random.*/os.urandom/uuid/
                            secrets there either; randomness comes from
@@ -393,7 +369,7 @@ evaluation as a service:
                        metavar="N|auto",
                        help="workers per evaluation run (default 1)")
     serve.add_argument("--backend",
-                       choices=("serial", "process", "async", "remote"),
+                       choices=("serial", "process", "remote"),
                        default=None,
                        help="executor backend per run (default: serial "
                             "for --jobs 1, process otherwise; remote "
@@ -651,7 +627,6 @@ def _cmd_evaluate(args) -> int:
                                      queue_dir=args.queue),
             cache_dir=args.cache_dir,
             shards=args.shards,
-            engine=args.engine,
         ) as scheduler:
             if args.progress:
                 result_set = _run_with_progress(scheduler, spec)
@@ -684,15 +659,6 @@ def _cmd_evaluate(args) -> int:
         print("cache %s: %d simulated, %d served from %s"
               % (args.cache_dir, scheduler.simulations_run, served,
                  scheduler.cache.backend.name))
-    if scheduler.analytic is not None:
-        computed = sum(1 for record in scheduler.telemetry.values()
-                       if record.engine == "analytic" and not record.cache_hit)
-        curve = scheduler.analytic.curves.stats()
-        print("analytic engine: %d job(s) computed closed-form over %d "
-              "curve(s) (%d point hit(s), %d vectorized evaluation(s)); "
-              "%d simulated on the event kernel"
-              % (computed, curve["curves"], curve["hits"],
-                 curve["evaluations"], scheduler.simulations_run - computed))
     if args.json:
         try:
             result_set.to_json(args.json)
@@ -954,9 +920,8 @@ def _cmd_check(args) -> int:
             print("%-25s %s" % (rule.id, rule.description))
         print()
         print("dynamic counterparts (assertions, not lint): "
-              "tests/analysis_checks/ promotes scripts/apl_check.py and "
-              "scripts/ordering_check.py into pytest tests of the paper's "
-              "qualitative orderings.")
+              "tests/analysis_checks/ asserts the paper's qualitative "
+              "orderings as pytest tests.")
         return 0
     paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
     try:

@@ -54,7 +54,6 @@ _EXPORTS = {
     "Progress": "repro.core.progress",
     "RunCompleted": "repro.core.progress",
     "RunEvent": "repro.core.progress",
-    "AsyncExecutor": "repro.core.scheduler",
     "JobTelemetry": "repro.core.scheduler",
     "ProcessPoolExecutor": "repro.core.scheduler",
     "RunHandle": "repro.core.scheduler",

@@ -1,9 +1,6 @@
 """Execution backends behind one streaming ``Executor`` protocol.
 
-Earlier revisions grew an ad-hoc executor duo — ``run(jobs)`` returning
-a list and ``run_instrumented(jobs, retries)`` returning a generator —
-and every new backend had to implement both with subtly matching
-semantics.  This module collapses them into a single protocol method::
+Every backend implements a single method::
 
     submit(jobs, retries=1) -> Iterator[JobOutcome]
 
@@ -11,40 +8,28 @@ semantics.  This module collapses them into a single protocol method::
 **in job order** while later jobs may still be executing, which is
 what lets the scheduler persist each finished measurement immediately
 (kill/cancel-and-resume) and feed live progress events.  The uniform
-lifecycle is ``close()`` / context manager, and capability flags
-(:attr:`Executor.name`, :attr:`Executor.supports_streaming`,
-:attr:`Executor.max_workers`) let callers introspect a backend without
-``isinstance`` checks.  Three backends implement it:
+lifecycle is ``close()`` / context manager, and the attributes
+:attr:`Executor.name` and :attr:`Executor.max_workers` let callers
+introspect a backend without ``isinstance`` checks.  Three backends
+implement it:
 
 * :class:`SerialExecutor` — in-process, one job at a time (default).
 * :class:`ProcessPoolExecutor` — ``concurrent.futures`` worker
   processes, jobs chunked through a sliding window over a persistent,
   lazily-created pool.
-* :class:`AsyncExecutor` — an asyncio event loop (semaphore-bounded
-  ``asyncio.to_thread`` concurrency) driven in a background thread,
-  so asyncio-native deployments and the synchronous scheduler share
-  one backend.
+* ``RemoteExecutor`` (in :mod:`repro.distributed`) — publishes jobs
+  to an on-disk queue that ``repro worker`` processes pull from,
+  sharing results through the sharded disk cache.
 
-A fourth backend lives in :mod:`repro.distributed`:
-``RemoteExecutor`` publishes jobs to an on-disk queue that
-``repro worker`` processes pull from, sharing results through the
-sharded disk cache — it implements exactly ``submit`` and passes the
-protocol-conformance suite in ``tests/core/test_executor_protocol.py``
-unchanged.
-
-The legacy entry points survive as thin conveniences on the base
-class: ``run(jobs)`` drains ``submit`` into a value list and
-``run_instrumented`` is an alias for ``submit``.
+All three pass the protocol-conformance suite in
+``tests/core/test_executor_protocol.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import itertools
 import os
-import queue
-import threading
 import time
 from collections import deque
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
@@ -59,7 +44,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "AsyncExecutor",
     "EXECUTOR_BACKENDS",
     "resolve_workers",
     "create_executor",
@@ -105,20 +89,13 @@ def execute_job_chunk(jobs: Sequence[MeasurementJob], retries: int = 1) -> List[
 class Executor(object):
     """The execution-backend protocol: ``submit`` plus a lifecycle.
 
-    Subclasses implement :meth:`submit`; everything else — the legacy
-    ``run``/``run_instrumented`` entry points, ``close`` and the
-    context-manager protocol — comes from this base class.  Backends
+    Subclasses implement :meth:`submit`; ``close`` and the
+    context-manager protocol come from this base class.  Backends
     with real resources (a worker pool) override :meth:`close`.
     """
 
     #: Short machine-readable backend name (lands in telemetry).
     name = "executor"
-
-    #: True when ``submit`` yields outcomes as they finish rather than
-    #: materializing the whole batch first.  Every built-in backend
-    #: streams; the flag exists so tooling can warn about third-party
-    #: backends that buffer (their kill/cancel persistence is coarser).
-    supports_streaming = True
 
     #: Upper bound on concurrently executing jobs (1 = serial).
     max_workers = 1
@@ -141,18 +118,6 @@ class Executor(object):
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    # -- legacy conveniences (pre-protocol API) ------------------------
-
-    def run(self, jobs: Iterable[MeasurementJob]) -> List[Optional[float]]:
-        """Values only, as a list (drains :meth:`submit`)."""
-        return [outcome.value for outcome in self.submit(jobs)]
-
-    def run_instrumented(
-        self, jobs: Iterable[MeasurementJob], retries: int = 1
-    ) -> Iterator[JobOutcome]:
-        """Alias for :meth:`submit` (the pre-protocol spelling)."""
-        return self.submit(jobs, retries)
 
 
 class SerialExecutor(Executor):
@@ -264,128 +229,8 @@ class ProcessPoolExecutor(Executor):
                 future.cancel()
 
 
-_NO_MORE_JOBS = object()
-
-
-class AsyncExecutor(Executor):
-    """Execute jobs on an asyncio event loop, ``max_workers`` at a time.
-
-    Each job runs in :func:`asyncio.to_thread` behind an
-    :class:`asyncio.Semaphore`, so up to ``max_workers`` simulations
-    overlap while the loop stays responsive.  The loop itself runs in
-    a dedicated background thread (``asyncio.run``), which is what
-    lets this backend serve the synchronous :meth:`submit` protocol:
-    outcomes cross back over a queue, in job order, as they finish.
-
-    This is the asyncio counterpart of :class:`ProcessPoolExecutor`
-    for workloads that are not CPU-bound in Python alone (simulations
-    releasing the GIL in numpy, future remote/IO-bound backends), and
-    the reference for the ROADMAP's async scheduler-backend item.
-    It holds no persistent resources: ``close`` is a no-op and every
-    ``submit`` call drives its own short-lived loop.
-    """
-
-    name = "async"
-
-    #: Jobs admitted to the loop beyond the ones actively executing —
-    #: bounds how far a lazy job iterable is consumed ahead.
-    window_factor = 2
-
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise EvaluationError("max_workers must be >= 1")
-        self.max_workers = max_workers
-
-    def submit(
-        self, jobs: Iterable[MeasurementJob], retries: int = 1
-    ) -> Iterator[JobOutcome]:
-        if retries < 1:
-            raise EvaluationError("retries must be >= 1")
-        window = self.max_workers * self.window_factor
-        # Bounded: real backpressure.  The loop cannot run more than
-        # window queued + window in-flight outcomes ahead of the
-        # consumer, so a slow consumer (persisting to disk) never
-        # strands O(grid) finished-but-unstored outcomes in memory —
-        # store-as-completed kill/resume granularity stays comparable
-        # to the pool backend's.
-        outcomes: queue.Queue = queue.Queue(maxsize=window)
-        stop = threading.Event()
-
-        def deliver(item) -> bool:
-            """Put onto the bounded queue unless the consumer walked
-            away (then nobody will ever drain it: abandon instead of
-            blocking forever)."""
-            while not stop.is_set():
-                try:
-                    outcomes.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def pump() -> None:
-            try:
-                asyncio.run(self._drive(iter(jobs), retries, deliver, stop))
-            except BaseException as error:  # noqa: BLE001 — relayed to consumer
-                deliver(("error", error))
-            else:
-                deliver(("done", None))
-
-        thread = threading.Thread(
-            target=pump, name="repro-async-executor", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                kind, payload = outcomes.get()
-                if kind == "outcome":
-                    yield payload
-                elif kind == "done":
-                    return
-                else:
-                    raise payload
-        finally:
-            # Consumer finished or abandoned the stream: tell the loop
-            # to stop admitting jobs and wait for it to wind down (in-
-            # flight jobs finish; queued ones are cancelled).
-            stop.set()
-            thread.join()
-
-    async def _drive(self, jobs, retries, deliver, stop) -> None:
-        semaphore = asyncio.Semaphore(self.max_workers)
-
-        async def bounded(job):
-            async with semaphore:
-                return await asyncio.to_thread(execute_job_instrumented, job, retries)
-
-        window = self.max_workers * self.window_factor
-        in_flight: deque = deque()
-        try:
-            while not stop.is_set():
-                while len(in_flight) < window:
-                    job = next(jobs, _NO_MORE_JOBS)
-                    if job is _NO_MORE_JOBS:
-                        break
-                    in_flight.append(asyncio.ensure_future(bounded(job)))
-                if not in_flight:
-                    return
-                # Await strictly in submission order so outcomes leave
-                # in job order even when later jobs finish first.  The
-                # deliver() below intentionally blocks this loop when
-                # the consumer lags (already-started to_thread jobs
-                # keep running; no *new* work is admitted) — that IS
-                # the backpressure.
-                if not deliver(("outcome", await in_flight.popleft())):
-                    return
-        finally:
-            for task in in_flight:
-                task.cancel()
-            if in_flight:
-                await asyncio.gather(*in_flight, return_exceptions=True)
-
-
 #: Backend names :func:`create_executor` understands.
-EXECUTOR_BACKENDS = ("serial", "process", "async", "remote")
+EXECUTOR_BACKENDS = ("serial", "process", "remote")
 
 
 def resolve_workers(jobs: Union[int, str, None]) -> int:
@@ -436,8 +281,6 @@ def create_executor(
         return SerialExecutor()
     if backend == "process":
         return ProcessPoolExecutor(max_workers=workers)
-    if backend == "async":
-        return AsyncExecutor(max_workers=workers)
     if backend == "remote":
         if queue_dir is None:
             raise EvaluationError(

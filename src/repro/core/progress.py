@@ -90,10 +90,9 @@ class CacheHit(RunEvent):
 class JobFinished(RunEvent):
     """A dispatched job's outcome landed (and was persisted).
 
-    ``engine`` records *how* the sample was produced: ``"event"`` for
-    a discrete-event simulation, ``"analytic"`` for a closed-form
-    evaluation by :class:`~repro.analytic.AnalyticEngine`.  Pre-engine
-    event dicts deserialize with the ``"event"`` default.
+    ``engine`` is always ``"event"``: every sample comes from the
+    discrete-event kernel.  The field stays so event dicts keep their
+    shape.
     """
 
     job: MeasurementJob

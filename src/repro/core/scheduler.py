@@ -8,18 +8,16 @@ so execution is embarrassingly parallel: any
 :class:`~repro.core.executors.Executor` backend can run it
 (:class:`~repro.core.executors.SerialExecutor` in-process,
 :class:`~repro.core.executors.ProcessPoolExecutor` over worker
-processes, :class:`~repro.core.executors.AsyncExecutor` on an asyncio
-loop).  Finished samples land in a
+processes, or ``RemoteExecutor`` over a ``repro worker`` fleet).
+Finished samples land in a
 :class:`~repro.core.cache.ResultCache` keyed by the job's content
 address — pass ``cache_dir=`` for a persistent on-disk cache a killed
 (or cancelled) sweep resumes from, and ``shards=`` to spread it over
 N sub-stores.  A job whose sample cannot depend on its seed is
 simulated once per pass, as the first job of its seed class
 (:func:`~repro.core.jobs.canonical_job`) the pass meets; every other
-seed's job is served that sample.  ``engine="analytic"`` / ``engine="auto"`` answer
-eligible misses from the vectorized closed-form models in
-:mod:`repro.analytic` instead of simulating them (bit-identical where
-admitted; ``auto`` falls back to the event kernel elsewhere).
+seed's job is served that sample.  Every miss is answered by the
+discrete-event simulation kernel, through the executor's ``submit``.
 
 Execution itself is a *streaming* API.  :meth:`Scheduler.start`
 returns a :class:`RunHandle` — the run executes in a background
@@ -56,7 +54,6 @@ from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.core.cache import MISSING, CacheBackend, ResultCache
 from repro.core.executors import (
-    AsyncExecutor,
     EXECUTOR_BACKENDS,
     Executor,
     JobOutcome,
@@ -85,7 +82,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "AsyncExecutor",
     "EXECUTOR_BACKENDS",
     "create_executor",
     "resolve_workers",
@@ -95,21 +91,17 @@ __all__ = [
     "Scheduler",
 ]
 
-# Backward-compatible alias: the sentinel moved to repro.core.cache.
-_MISSING = MISSING
-
-
 @dataclass(frozen=True)
 class JobTelemetry:
     """Provenance of one sample in one scheduler pass.
 
-    ``wall_seconds`` is ``None`` when the executor could not report
-    per-job timing (a custom executor without ``submit``); cache hits,
-    including jobs served another seed's sample this pass, record
-    ``0.0`` — the sample cost nothing this pass.  ``engine``
-    records how the sample was produced — ``"event"`` for a
-    discrete-event simulation, ``"analytic"`` for a closed-form
-    evaluation — so exports distinguish computed from simulated.
+    Cache hits, including jobs served another seed's sample this
+    pass, record ``wall_seconds=0.0`` — the sample cost nothing this
+    pass.  ``wall_seconds`` reads ``None`` only in exports written by
+    older versions whose executors could not time each job.
+    ``engine`` is always ``"event"`` (the discrete-event kernel
+    produces every sample); the field stays so the export and history
+    schemas do not change.
     """
 
     job: MeasurementJob  # schema: external - keyed by the job in telemetry maps
@@ -249,12 +241,10 @@ class RunHandle(object):
             self._cond.notify_all()
         self._notify(event)
 
-    def _job_finished(
-        self, job: MeasurementJob, outcome: JobOutcome, engine: str = "event"
-    ) -> None:
+    def _job_finished(self, job: MeasurementJob, outcome: JobOutcome) -> None:
         with self._cond:
             event = JobFinished(
-                job, outcome.value, outcome.wall_seconds, outcome.attempts, engine
+                job, outcome.value, outcome.wall_seconds, outcome.attempts
             )
             self._simulated += 1
             self._values[job] = outcome.value
@@ -422,9 +412,6 @@ class Scheduler(object):
     ----------
     executor:
         Any :class:`~repro.core.executors.Executor` (default serial).
-        Pre-protocol executors still work: objects offering only
-        ``run_instrumented(jobs, retries)`` or ``run(jobs)`` are
-        adapted (the latter without per-job timing or streaming).
     cache:
         A shared :class:`~repro.core.cache.ResultCache`; pass one
         cache to several schedulers (or several ``run`` calls) to
@@ -441,25 +428,11 @@ class Scheduler(object):
     retries:
         Attempts per job before an unexpected simulation failure
         propagates (1 = no retry).
-    engine:
-        How cache misses are answered: ``"event"`` (default) runs
-        every miss as a discrete-event simulation on the executor;
-        ``"analytic"`` answers every miss from the vectorized
-        closed-form models in :mod:`repro.analytic` and *raises* on a
-        job they cannot reproduce bit-identically (noise, contended
-        traffic patterns, unmodeled kinds); ``"auto"`` answers the
-        analytic-eligible misses in closed form and falls back to the
-        event kernel for the rest.  Analytic batches bypass the
-        executor entirely and share one curve-level cache
-        (:attr:`analytic`) across every run of this scheduler.
 
     One scheduler drives one run at a time: start the next
     :class:`RunHandle` after the previous one ended (the executor and
     telemetry map are shared state).
     """
-
-    #: Engine choices ``__init__`` accepts.
-    ENGINES = ("event", "analytic", "auto")
 
     #: Jobs probed against the cache per bulk ``get_many`` round-trip
     #: (one lock acquisition and, on disk, one directory listing per
@@ -474,7 +447,6 @@ class Scheduler(object):
         cache_dir: Optional[str] = None,
         shards: Optional[int] = None,
         retries: int = 1,
-        engine: str = "event",
     ) -> None:
         if sum(option is not None for option in (cache, cache_backend, cache_dir)) > 1:
             raise EvaluationError(
@@ -482,22 +454,6 @@ class Scheduler(object):
             )
         if retries < 1:
             raise EvaluationError("retries must be >= 1")
-        if engine not in self.ENGINES:
-            raise EvaluationError(
-                "unknown engine %r; available: %s"
-                % (engine, ", ".join(self.ENGINES))
-            )
-        self.engine = engine
-        #: The :class:`~repro.analytic.AnalyticEngine` (with its
-        #: curve-level cache) serving this scheduler's closed-form
-        #: batches; ``None`` under the pure event engine.
-        self.analytic = None
-        if engine != "event":
-            # Imported lazily: the analytic models pull in numpy, which
-            # the pure event path must not require at import time.
-            from repro.analytic import AnalyticEngine
-
-            self.analytic = AnalyticEngine()
         self.executor = executor if executor is not None else SerialExecutor()
         if cache is not None:
             self.cache = cache
@@ -515,33 +471,12 @@ class Scheduler(object):
         #: has served (latest pass wins on re-runs).
         self.telemetry: Dict[MeasurementJob, JobTelemetry] = {}
 
-    @property
-    def executor_name(self) -> str:
-        return getattr(self.executor, "name", type(self.executor).__name__)
-
-    def _execute(self, pending: Iterable[MeasurementJob]) -> Iterator[JobOutcome]:
-        submit = getattr(self.executor, "submit", None)
-        if submit is not None:
-            return iter(submit(pending, retries=self.retries))
-        # Pre-protocol executors: `run_instrumented` is the old
-        # streaming spelling; plain `run(jobs)` executors predate
-        # telemetry (and streaming) entirely — hand them a real list;
-        # samples come back untimed, so wall_seconds is honestly
-        # unknown.
-        runner = getattr(self.executor, "run_instrumented", None)
-        if runner is not None:
-            return iter(runner(pending, retries=self.retries))
-        return iter(
-            JobOutcome(value, None, 1) for value in self.executor.run(list(pending))
-        )
-
     def _drive(self, jobs: Iterable[MeasurementJob], handle: RunHandle) -> None:
         """The streaming core: dedupe, collapse seeds, consult the
         cache, dispatch misses, persist outcomes as they arrive, narrate
         everything through ``handle``.  Runs on the handle's worker
-        thread (the job iterable itself may be consumed from an
-        executor-internal thread —
-        :class:`~repro.core.executors.AsyncExecutor`).
+        thread; a custom executor may consume the job iterable on a
+        thread of its own, so state both sides touch holds ``lock``.
 
         Seed collapse: jobs with equal :func:`canonical_job` share one
         sample, so only the first job of each such class the pass meets,
@@ -553,7 +488,6 @@ class Scheduler(object):
         """
         in_flight: deque = deque()  # leads, in executor order
         seen = set()
-        analytic = self.analytic
         # The lead of each seed class this pass has met (touched only by
         # the thread consuming misses()).
         lead_of: Dict[MeasurementJob, MeasurementJob] = {}
@@ -565,21 +499,20 @@ class Scheduler(object):
         lock = threading.Lock()
 
         def serve(job: MeasurementJob, value: Optional[float]) -> None:
-            self.telemetry[job] = JobTelemetry(job, self.executor_name, True, 0.0, 0)
+            self.telemetry[job] = JobTelemetry(job, self.executor.name, True, 0.0, 0)
             handle._cache_hit(job, value)
 
-        def finish(lead: MeasurementJob, outcome: JobOutcome,
-                   executor: str, engine: str = "event") -> None:
+        def finish(lead: MeasurementJob, outcome: JobOutcome) -> None:
             self.cache.store(lead, outcome.value)
             with lock:
                 resolved[lead] = outcome.value
                 owner, *siblings = waiting.pop(lead)
             self.telemetry[owner] = JobTelemetry(
-                owner, executor, False, outcome.wall_seconds, outcome.attempts,
-                engine=engine,
+                owner, self.executor.name, False, outcome.wall_seconds,
+                outcome.attempts,
             )
             self.simulations_run += 1
-            handle._job_finished(owner, outcome, engine=engine)
+            handle._job_finished(owner, outcome)
             for job in siblings:
                 serve(job, outcome.value)
 
@@ -591,29 +524,13 @@ class Scheduler(object):
                     [job for lead in leads for job in waiting.pop(lead, ())]
                 )
 
-        def serve_analytic(batch) -> None:
-            """Answer a chunk's analytic-eligible misses inline — one
-            vectorized model call per curve, no executor round-trip.
-            The jobs were announced (``_job_started``) in stream order
-            as they were collected, so result ordering matches the
-            event engine's exactly.  Runs on whatever thread is
-            consuming ``misses()``; every handle/cache/telemetry
-            surface it touches is locked."""
-            start = time.perf_counter()
-            values = analytic.compute_many(batch)
-            wall = (time.perf_counter() - start) / len(batch)
-            for lead in batch:
-                finish(lead, JobOutcome(values[lead], wall, 1), "analytic",
-                       engine="analytic")
-
         def misses() -> Iterator[MeasurementJob]:
             source = iter(jobs)
             while True:
                 # Probe the cache a chunk at a time: one get_many call
                 # replaces PROBE_CHUNK individual lookups (and, on
                 # disk, one listdir per bucket replaces one open
-                # attempt per job).  Chunking also batches the
-                # analytic engine's work into few vectorized calls.
+                # attempt per job).
                 chunk = list(itertools.islice(source, self.PROBE_CHUNK))
                 if not chunk:
                     return
@@ -625,17 +542,12 @@ class Scheduler(object):
                         and lead not in waiting
                     )
                 cached = self.cache.get_many(unknown)
-                batch = []
                 for job, lead in zip(chunk, leads):
                     if handle._cancel_event.is_set():
                         # Cooperative cancel: stop dispatching.
                         # Everything already yielded keeps executing
-                        # (and persisting); this job, the rest of the
-                        # stream, and the unserved analytic batch are
-                        # dropped (the batch's announced-but-never-
-                        # finished reservations must not read as
-                        # samples).
-                        drop(batch)
+                        # (and persisting); this job and the rest of
+                        # the stream are dropped.
                         handle._mark_cancelled()
                         return
                     if job in seen:
@@ -656,37 +568,21 @@ class Scheduler(object):
                     if value is not MISSING:
                         serve(job, value)
                         continue
-                    if analytic is not None:
-                        if analytic.eligible(lead):
-                            # Announce now (stream order), answer at
-                            # the end of the chunk in one batch.
-                            handle._job_started(job)
-                            batch.append(lead)
-                            continue
-                        if self.engine == "analytic":
-                            raise EvaluationError(
-                                "engine='analytic' cannot serve job %s: %s "
-                                "(use engine='auto' to fall back to the "
-                                "event kernel)"
-                                % (job.label(), analytic.why_ineligible(lead))
-                            )
                     in_flight.append(lead)
                     handle._job_started(job)
                     yield lead
-                if batch:
-                    serve_analytic(batch)
 
         # Store each outcome as the executor yields it: a sweep killed
         # (or crashed, or cancelled) mid-batch keeps every job it
         # finished, which is what makes --cache-dir resume skip all
         # completed work.
-        for outcome in self._execute(misses()):
+        for outcome in self.executor.submit(misses(), retries=self.retries):
             if not in_flight:
                 raise EvaluationError(
                     "executor %s returned more outcomes than jobs"
-                    % self.executor_name
+                    % self.executor.name
                 )
-            finish(in_flight.popleft(), outcome, self.executor_name)
+            finish(in_flight.popleft(), outcome)
         if in_flight:
             if handle.cancelled:
                 # The built-in executors finish everything dispatched,
@@ -696,7 +592,7 @@ class Scheduler(object):
             else:
                 raise EvaluationError(
                     "executor %s returned %d outcome(s) too few"
-                    % (self.executor_name, len(in_flight))
+                    % (self.executor.name, len(in_flight))
                 )
         handle._completed()
 
@@ -778,9 +674,7 @@ class Scheduler(object):
 
     def close(self) -> None:
         """Release executor resources (a persistent worker pool, if any)."""
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
+        self.executor.close()
 
     def __enter__(self) -> "Scheduler":
         return self

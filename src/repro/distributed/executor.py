@@ -89,7 +89,6 @@ class RemoteExecutor(Executor):
     """
 
     name = "remote"
-    supports_streaming = True
 
     #: Tickets kept published beyond one per assumed worker — bounds
     #: how far a lazy job iterable is consumed ahead of consumption.

@@ -1,12 +1,12 @@
-"""scripts/apl_check.py, promoted from printout to assertions.
+"""The paper's application-level orderings, as assertions.
 
 The paper's application-level (APL) shape claims: serial execution is
 tool-independent, the embarrassingly parallel Monte Carlo app scales
 near-linearly with p4 <= express <= pvm, communication-heavy apps
 still rank p4 first, and a faster interconnect (FDDI vs Ethernet)
 dominates at every point.  Workloads are scaled down from the
-scripts' defaults — the orderings are qualitative, not magnitude-
-dependent, and tier-1 must stay fast.
+applications' defaults — the orderings are qualitative, not
+magnitude-dependent, and tier-1 must stay fast.
 """
 
 from functools import lru_cache

@@ -1,4 +1,4 @@
-"""scripts/ordering_check.py, promoted from printout to assertions.
+"""The paper's collective orderings, as assertions.
 
 The paper's qualitative collective-ordering claims (Figs. 2-3): p4's
 leaner collectives beat pvm's and express's on every medium, costs

@@ -179,7 +179,7 @@ class TestToleranceTable:
             table = json.load(handle)
         stamps = {stamp: floors for stamp, floors in table.items()
                   if not stamp.startswith("_")}
-        assert set(stamps) == {"kernel", "analytic"}
+        assert set(stamps) == {"kernel"}
         for stamp, floors in stamps.items():
             with open(os.path.join(
                     root, "BENCH_%s_baseline.json" % stamp)) as handle:

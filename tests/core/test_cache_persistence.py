@@ -221,23 +221,6 @@ class TestTelemetry:
             for record in result.telemetry.values()
         )
 
-    def test_uninstrumented_executor_still_works(self):
-        """Custom executors with only ``run(jobs)`` predate telemetry:
-        samples flow, wall time is honestly unknown."""
-
-        class BareExecutor:
-            def run(self, jobs):
-                from repro.core.jobs import execute_job
-                return [execute_job(job) for job in jobs]
-
-        spec = tiny_spec(tools=("p4",))
-        scheduler = Scheduler(executor=BareExecutor())
-        result = scheduler.run(spec)
-        assert result.values
-        assert all(record.wall_seconds is None
-                   for record in result.telemetry.values())
-        assert result.to_dict()["telemetry"]["summary"]["total_wall_seconds"] == 0.0
-
 
 class TestRetries:
     def test_flaky_job_retried_and_attempts_recorded(self, monkeypatch):

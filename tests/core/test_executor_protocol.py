@@ -3,25 +3,31 @@
 One parametrized suite pins the contract of
 ``Executor.submit(jobs, retries) -> Iterator[JobOutcome]`` — ordering,
 laziness, telemetry fields, retry semantics, lifecycle, recovery —
-against the three built-in backends.  A future backend (remote
-workers over the sharded cache) should pass by adding itself to
-``BACKENDS`` and nothing else.
+against the serial and process-pool backends, and against
+:class:`LookaheadThreadExecutor`, a custom backend of the kind a
+caller may plug into the scheduler, which consumes the job stream on
+a thread of its own.
+``tests/distributed/test_remote_protocol.py`` runs the same classes
+over the remote backend.
 """
 
 import multiprocessing
+import queue
+import threading
 
 import pytest
 
+from repro.core.executors import execute_job_instrumented
 from repro.core.jobs import execute_job
+from repro.core.progress import JobFinished
 from repro.core.scheduler import (
-    AsyncExecutor,
     Executor,
     ProcessPoolExecutor,
     Scheduler,
     SerialExecutor,
 )
 from repro.core.spec import EvaluationSpec
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, RunCancelled
 
 _TINY = dict(
     tpl_sizes=(1024,),
@@ -37,10 +43,58 @@ def tiny_spec(**overrides):
     return EvaluationSpec(**kwargs)
 
 
+class LookaheadThreadExecutor(Executor):
+    """A custom backend: one thread of its own pulls the job stream
+    and runs each job, at most ``lookahead`` outcomes ahead of the
+    consumer.  The scheduler then feeds its miss stream from that
+    thread while it takes outcomes on the run thread."""
+
+    name = "lookahead-thread"
+
+    _DONE = object()
+
+    def __init__(self, lookahead=2):
+        self.lookahead = lookahead
+
+    def submit(self, jobs, retries=1):
+        outcomes = queue.Queue(maxsize=self.lookahead)
+        stop = threading.Event()
+
+        def put(item):
+            while not stop.is_set():
+                try:
+                    outcomes.put(item, timeout=0.01)
+                    return True
+                except queue.Full:
+                    pass
+            return False
+
+        def pull():
+            try:
+                for job in jobs:
+                    if not put(execute_job_instrumented(job, retries)):
+                        return  # the consumer walked away
+            except Exception as error:
+                put(error)
+            else:
+                put(self._DONE)
+
+        thread = threading.Thread(target=pull, daemon=True)
+        thread.start()
+        try:
+            while (item := outcomes.get()) is not self._DONE:
+                if isinstance(item, Exception):
+                    raise item
+                yield item
+        finally:
+            stop.set()
+            thread.join(30)
+
+
 BACKENDS = {
     "serial": lambda: SerialExecutor(),
     "process": lambda: ProcessPoolExecutor(max_workers=2),
-    "async": lambda: AsyncExecutor(max_workers=2),
+    "lookahead-thread": lambda: LookaheadThreadExecutor(),
 }
 
 
@@ -75,13 +129,12 @@ class TestProtocolSurface:
     def test_capability_flags(self, executor):
         assert isinstance(executor, Executor)
         assert isinstance(executor.name, str) and executor.name
-        assert executor.supports_streaming is True
         assert isinstance(executor.max_workers, int)
         assert executor.max_workers >= 1
 
     def test_worker_count_validated(self, executor):
-        if type(executor) is SerialExecutor:
-            pytest.skip("serial backend has no worker knob")
+        if type(executor) in (SerialExecutor, LookaheadThreadExecutor):
+            pytest.skip("%s backend has no worker knob" % executor.name)
         with pytest.raises(EvaluationError):
             type(executor)(max_workers=0)
 
@@ -156,10 +209,13 @@ class TestSubmitSemantics:
             if len(pulled) == before:
                 break  # admission has quiesced against the stall
         # Window accounting per backend: serial pulls one at a time;
-        # process keeps window chunks of chunk_jobs in flight; async
-        # holds one window in flight plus one queued.
+        # lookahead-thread holds its queue plus the job it is running;
+        # process keeps window chunks of chunk_jobs in flight; remote
+        # keeps one window of tickets published (bound with slack).
         if type(executor) is SerialExecutor:
             bound = 2
+        elif type(executor) is LookaheadThreadExecutor:
+            bound = executor.lookahead + 2
         elif isinstance(executor, ProcessPoolExecutor):
             bound = executor.max_workers * executor.window_factor * executor.chunk_jobs + executor.chunk_jobs
         else:
@@ -248,3 +304,31 @@ class TestSchedulerIntegration:
             assert not record.cache_hit
             assert record.wall_seconds > 0.0
             assert record.attempts == 1
+
+
+class TestOwnThreadBackend:
+    """The scheduler's miss stream consumed on the executor's thread
+    while outcomes land on the run thread."""
+
+    def test_cancel_keeps_finished_and_drops_the_rest(self, tmp_path):
+        spec = tiny_spec()  # 15 jobs, one seed
+        cache_dir = str(tmp_path / "cache")
+        executor = LookaheadThreadExecutor(lookahead=1)
+        with Scheduler(executor=executor, cache_dir=cache_dir) as scheduler:
+            handle = scheduler.start(spec)
+            finished = 0
+            for event in handle.events():
+                if isinstance(event, JobFinished):
+                    finished += 1
+                    if finished == 2:
+                        handle.cancel()
+            with pytest.raises(RunCancelled):
+                handle.result()
+            done = handle.progress().simulated
+            values = handle.values()
+        assert 2 <= done < spec.job_count()
+        assert values == {job: execute_job(job) for job in values}
+        assert len(values) == done
+        resumed = Scheduler(cache_dir=cache_dir)
+        resumed.run(spec)
+        assert resumed.simulations_run == spec.job_count() - done

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import evaluate_tools
 from repro.core.scheduler import (
+    Executor,
+    JobOutcome,
     ProcessPoolExecutor,
     ResultCache,
     Scheduler,
@@ -85,7 +87,7 @@ class TestExecutors:
     def test_create_executor_auto_and_backends(self):
         import os
 
-        from repro.core.scheduler import AsyncExecutor, resolve_workers
+        from repro.core.scheduler import resolve_workers
 
         cpus = os.cpu_count() or 1
         assert resolve_workers("auto") == cpus
@@ -98,9 +100,6 @@ class TestExecutors:
             assert auto.max_workers == cpus
         assert isinstance(create_executor(2, backend="serial"), SerialExecutor)
         assert isinstance(create_executor(1, backend="process"), ProcessPoolExecutor)
-        asynchronous = create_executor(3, backend="async")
-        assert isinstance(asynchronous, AsyncExecutor)
-        assert asynchronous.max_workers == 3
 
     def test_serial_and_parallel_agree(self):
         """Simulations are deterministic, so the backend is invisible."""
@@ -129,17 +128,17 @@ class TestPersistentPool:
     def test_close_is_idempotent_and_allows_restart(self):
         executor = ProcessPoolExecutor(max_workers=2)
         jobs = tiny_spec(tools=("p4",)).jobs()[:2]
-        first = executor.run(jobs)
+        first = [outcome.value for outcome in executor.submit(jobs)]
         executor.close()
         assert executor._pool is None
         executor.close()  # no-op
         # A closed executor lazily builds a fresh pool on reuse.
-        assert executor.run(jobs) == first
+        assert [outcome.value for outcome in executor.submit(jobs)] == first
         executor.close()
 
     def test_context_manager_shuts_down(self):
         with ProcessPoolExecutor(max_workers=2) as executor:
-            executor.run(tiny_spec(tools=("p4",)).jobs()[:2])
+            list(executor.submit(tiny_spec(tools=("p4",)).jobs()[:2]))
             assert executor._pool is not None
         assert executor._pool is None
 
@@ -148,24 +147,6 @@ class TestPersistentPool:
             scheduler.run_jobs(tiny_spec(tools=("p4",)).jobs()[:2])
             assert scheduler.executor._pool is not None
         assert scheduler.executor._pool is None
-
-    def test_legacy_entry_points_delegate_to_submit(self):
-        """`run` and `run_instrumented` are conveniences over the one
-        protocol method — a subclass only ever implements submit."""
-        from repro.core.scheduler import Executor, JobOutcome
-
-        class Doubler(Executor):
-            name = "doubler"
-
-            def submit(self, jobs, retries=1):
-                for job in jobs:
-                    yield JobOutcome(2.0, 0.0, retries)
-
-        executor = Doubler()
-        jobs = tiny_spec(tools=("p4",)).jobs()[:3]
-        assert executor.run(jobs) == [2.0, 2.0, 2.0]
-        outcomes = list(executor.run_instrumented(jobs, retries=4))
-        assert [outcome.attempts for outcome in outcomes] == [4, 4, 4]
 
     def test_broken_pool_is_dropped_not_reused(self):
         """A pool poisoned by a dead worker must not be served again:
@@ -187,14 +168,10 @@ class TestPersistentPool:
         try:
             executor._pool = BrokenPool()
             with pytest.raises(concurrent.futures.BrokenExecutor):
-                executor.run(jobs)
+                list(executor.submit(jobs))
             assert executor._pool is None  # poisoned pool dropped
-            executor._pool = BrokenPool()
-            with pytest.raises(concurrent.futures.BrokenExecutor):
-                list(executor.run_instrumented(jobs))
-            assert executor._pool is None
             # The next pass transparently builds a working pool.
-            assert executor.run(jobs)
+            assert list(executor.submit(jobs))
         finally:
             executor.close()
 
@@ -233,7 +210,7 @@ class TestAbandonedStream:
     def test_generator_close_cancels_queued_chunks(self):
         executor, submitted = self._executor_with_fake_pool()
         jobs = tiny_spec(tools=("p4", "pvm", "express")).jobs()
-        stream = executor.run_instrumented(jobs)
+        stream = executor.submit(jobs)
         next(stream)  # consume one outcome, abandon the rest
         stream.close()
         # The window was filled (several chunks in flight) and every
@@ -244,7 +221,7 @@ class TestAbandonedStream:
     def test_exception_mid_sweep_cancels_queued_chunks(self):
         executor, submitted = self._executor_with_fake_pool()
         jobs = tiny_spec(tools=("p4", "pvm", "express")).jobs()
-        stream = executor.run_instrumented(jobs)
+        stream = executor.submit(jobs)
         next(stream)
         with pytest.raises(RuntimeError):
             stream.throw(RuntimeError("consumer died mid-sweep"))
@@ -254,7 +231,7 @@ class TestAbandonedStream:
         """Normal completion leaves no pending futures to cancel."""
         with ProcessPoolExecutor(max_workers=2) as executor:
             jobs = tiny_spec(tools=("p4",)).jobs()[:3]
-            outcomes = list(executor.run_instrumented(jobs))
+            outcomes = list(executor.submit(jobs))
         assert len(outcomes) == 3
         assert all(outcome.value is not None for outcome in outcomes)
 
@@ -289,11 +266,12 @@ class TestStreamingExpansion:
     def test_short_executor_is_an_error(self):
         """An executor that drops outcomes cannot pass silently."""
 
-        class Lossy(object):
+        class Lossy(Executor):
             name = "lossy"
 
-            def run(self, jobs):
-                return [0.0 for job in jobs][:-1]
+            def submit(self, jobs, retries=1):
+                for job in list(jobs)[:-1]:
+                    yield JobOutcome(0.0, 0.001, 1)
 
         scheduler = Scheduler(executor=Lossy())
         with pytest.raises(EvaluationError, match="too few"):

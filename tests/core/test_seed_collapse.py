@@ -22,6 +22,7 @@ drives the generator seeds when installed, a fixed spread otherwise.
 """
 
 import itertools
+import queue
 import random
 import struct
 import sys
@@ -32,7 +33,7 @@ import pytest
 
 from repro.apps.suite import BENCHMARKED_APPS, EXTENSION_APPS, application_class
 from repro.core.cache import MISSING, DiskBackend, ResultCache, job_key
-from repro.core.executors import AsyncExecutor, Executor, execute_job_instrumented
+from repro.core.executors import Executor, execute_job_instrumented
 from repro.core.jobs import (
     MeasurementJob,
     application_job,
@@ -343,12 +344,35 @@ class TestSchedulerCollapse:
         assert handle.values() == {a0: execute_job(a0), a1: execute_job(a0)}
 
 
+class PullThreadExecutor(Executor):
+    """Consumes the job stream on a thread of its own, as a custom
+    backend may, while the scheduler takes outcomes on the run thread."""
+
+    name = "pull-thread"
+
+    def submit(self, jobs, retries=1):
+        outcomes = queue.SimpleQueue()
+
+        def pull():
+            try:
+                for job in jobs:
+                    outcomes.put(execute_job_instrumented(job, retries))
+            finally:
+                outcomes.put(None)
+
+        thread = threading.Thread(target=pull, daemon=True)
+        thread.start()
+        while (outcome := outcomes.get()) is not None:
+            yield outcome
+        thread.join(30)
+
+
 class TestConcurrency:
-    def test_async_backend_stress_keeps_every_sibling(self):
-        """On the async backend the job stream is consumed on the
-        executor's loop thread while outcomes arrive on the run thread.
-        A lost update between the two would leave a sibling unserved
-        (``None``) or out of place."""
+    def test_pull_thread_stress_keeps_every_sibling(self):
+        """Here the job stream is consumed on the executor's own thread
+        while outcomes arrive on the run thread.  A lost update between
+        the two would leave a sibling unserved (``None``) or out of
+        place."""
         spec = small_spec(apps=("montecarlo",), tools=("express", "p4", "pvm"),
                           seeds=(0, 1, 2, 3))
         expected = expected_values(spec)
@@ -357,7 +381,7 @@ class TestConcurrency:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                with Scheduler(executor=AsyncExecutor(max_workers=4)) as scheduler:
+                with Scheduler(executor=PullThreadExecutor()) as scheduler:
                     scheduler.PROBE_CHUNK = 3
                     result = scheduler.start(spec).result(timeout=120)
                 assert result.values == expected

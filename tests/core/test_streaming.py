@@ -21,7 +21,6 @@ from repro.core.progress import (
     RunCompleted,
 )
 from repro.core.scheduler import (
-    AsyncExecutor,
     Executor,
     JobOutcome,
     ProcessPoolExecutor,
@@ -347,12 +346,14 @@ class TestCancel:
         assert isinstance(events[-1], RunCompleted)
         assert events[-1].cancelled
 
-    def test_cancel_with_async_backend(self, tmp_path):
+    def test_cancel_with_process_backend(self, tmp_path):
         spec = tiny_spec()
         cache_dir = str(tmp_path / "cache")
-        with Scheduler(
-            executor=AsyncExecutor(max_workers=2), cache_dir=cache_dir
-        ) as scheduler:
+        executor = ProcessPoolExecutor(max_workers=2)
+        # One job per chunk, one chunk per worker: the default window
+        # would dispatch this whole grid before the cancel lands.
+        executor.chunk_jobs = executor.window_factor = 1
+        with Scheduler(executor=executor, cache_dir=cache_dir) as scheduler:
             handle = self._start_and_cancel_after(scheduler, spec, finished_jobs=2)
             with pytest.raises(RunCancelled):
                 handle.result()

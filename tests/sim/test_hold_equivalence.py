@@ -12,7 +12,7 @@ an observer's view of every resource, must be identical.  The same
 holds end to end: noisy samples (seeded backoff and jitter draws) on
 the four paper-grid platforms are bit-identical.
 
-The property harness follows ``tests/analytic/test_equivalence.py``:
+The property harness follows ``tests/core/test_cache_properties.py``:
 ``hypothesis`` drives the seeds when installed, a fixed spread of
 seeds otherwise.
 """

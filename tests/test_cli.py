@@ -132,9 +132,9 @@ class TestEvaluate:
         assert "simulated" not in captured.out
 
     @pytest.mark.slow
-    def test_async_backend_end_to_end(self, capsys):
+    def test_process_backend_end_to_end(self, capsys):
         assert main(["evaluate", "--tools", "p4", "--processors", "2",
-                     "--backend", "async", "--jobs", "2"]) == 0
+                     "--backend", "process", "--jobs", "2"]) == 0
         assert "Best tool" in capsys.readouterr().out
 
     def test_shards_without_cache_dir_is_harmless(self, capsys):
@@ -203,6 +203,27 @@ class TestEvaluate:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "%s: 0 simulated" % cache_dir in second
+
+
+class TestExecutorOptions:
+    """``evaluate`` and ``serve`` offer the serial, process and remote
+    backends and no engine choice: every miss is simulated."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_unknown_backend_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_help_offers_three_backends(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--backend {serial,process,remote}" in out
+        assert "engine" not in out.lower()
 
 
 class TestNoCommand:

@@ -6,7 +6,9 @@ expands and maps jobs, and scores results, but never simulates.
 Validating a spec must not import any application module, and mapping
 the jobs of a TPL plus Monte Carlo grid must not pull in numpy: a
 coordinator holds every result of a long sweep in memory, and the
-numeric stack would add half again to its resident size.  Each check
+numeric stack would add half again to its resident size.  Nor does it
+need asyncio, which would cost most of the executor layer's import
+time.  Each check
 runs in a fresh interpreter, since this one has long since imported
 everything.
 """
@@ -33,7 +35,8 @@ assert len({canonical_job(job) for job in spec.jobs()}) == spec.job_count() // 2
 create_executor(2, backend="remote", queue_dir=sys.argv[1])
 kernels = ("repro.apps.jpeg", "repro.apps.fft", "repro.apps.sorting", "repro.apps.linalg")
 print(" ".join(sorted(name for name in sys.modules
-                      if name.split(".")[0] == "numpy" or name.startswith(kernels))))
+                      if name.split(".")[0] in ("numpy", "asyncio")
+                      or name.startswith(kernels))))
 """
 
 
@@ -71,3 +74,13 @@ print(" ".join(sorted(name for name in server_side if name in sys.modules)))
 def test_package_exports_resolve_on_first_use(package, name, kind):
     script = "import %s as package; print(type(getattr(package, %r)).__name__)" % (package, name)
     assert run_python(script) == [kind]
+
+
+@pytest.mark.parametrize("module", [
+    "repro.core.executors",
+    "repro.core.scheduler",
+    "repro.distributed.executor",
+])
+def test_executor_layer_loads_no_asyncio(module):
+    script = "import sys, %s; print(' '.join(name for name in sys.modules if name.split('.')[0] == 'asyncio'))" % module
+    assert run_python(script) == []
