@@ -971,8 +971,8 @@ def _cmd_usability() -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
     import signal
+    import threading
 
     from repro.core.cache import ResultCache
     from repro.core.scheduler import Scheduler, create_executor
@@ -1024,39 +1024,33 @@ def _cmd_serve(args) -> int:
         print("error: cannot open %s (%s)" % (args.db, error))
         return 2
 
-    async def _serve() -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                signal.signal(signum, lambda *_: stop.set())
+    stop = threading.Event()
+
+    def request_stop(signum, frame) -> None:
+        # Set from a helper thread: the handler runs on the main
+        # thread, which may hold the event's own lock in stop.wait().
+        threading.Thread(target=stop.set).start()
+
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, request_stop)
+    try:
         try:
-            await server.start()
+            server.start()
         except OSError as error:
-            raise ReproError(
-                "cannot bind %s:%d (%s)" % (args.host, args.port, error)
-            )
+            print("error: cannot bind %s:%d (%s)" % (args.host, args.port, error))
+            return 2
         # Machine-readable: tests and examples/service_demo.py parse
         # this line to find an ephemeral --port 0.
         print("serving on http://%s:%d" % (args.host, server.port), flush=True)
         print("db=%s cache=%s user-limit=%d (SIGTERM/ctrl-C stops "
               "gracefully)" % (args.db, args.cache_dir or "<memory>",
                                args.user_limit), flush=True)
-        await stop.wait()
+        stop.wait()
         print("shutting down: cancelling running evaluations "
               "cooperatively...", flush=True)
-        await server.close()
-        # Registry shutdown joins watcher threads (in-flight jobs
-        # finish and persist) — keep it off the event loop thread.
-        await asyncio.to_thread(registry.shutdown)
-
-    try:
-        asyncio.run(_serve())
-    except ReproError as error:
-        print("error: %s" % error)
-        return 2
+        server.close()
+        # Joins the watcher threads: in-flight jobs finish and persist.
+        registry.shutdown()
     finally:
         store.close()
         if history is not None:

@@ -11,9 +11,10 @@ multi-user HTTP service:
 * :mod:`repro.service.registry` — per-user concurrency limits, FIFO
   queueing, cooperative cancel and graceful shutdown, with every
   lifecycle edge persisted.
-* :mod:`repro.service.server` — the stdlib asyncio HTTP front:
-  ``POST /api/runs`` -> ``{run_id}``, run listing/inspection, cancel,
-  and a Server-Sent Events stream per run (replay + live).
+* :mod:`repro.service.server` — the stdlib threaded HTTP front
+  (one thread per connection): ``POST /api/runs`` -> ``{run_id}``, run
+  listing/inspection, cancel, and a Server-Sent Events stream per run
+  (replay + live, ending only once the outcome is persisted).
 * :mod:`repro.service.client` — a stdlib client speaking the same
   typed events as local code.
 

@@ -21,12 +21,13 @@ glues three things together:
   runs, so a cancel never discards finished measurements).
 
 A watcher thread per run observes completion; the registry itself
-never blocks a caller.  :meth:`events` is the blocking bridge the SSE
-layer pumps from a thread: it replays the run's buffered events and
-then follows live (several consumers may stream one run), and for
-runs that are no longer resident (a restarted server) it synthesizes
-the terminal :class:`~repro.core.progress.RunCompleted` from the
-store.
+never blocks a caller.  :meth:`events` is the blocking iterator each
+SSE response writes out on its connection's thread: it replays the
+run's buffered events and then follows live (several consumers may
+stream one run), announcing the end only after the outcome is
+persisted, and for runs that are no longer resident (a restarted
+server) it synthesizes the terminal
+:class:`~repro.core.progress.RunCompleted` from the store.
 """
 
 from __future__ import annotations
@@ -348,11 +349,16 @@ class JobRegistry(object):
         managed.started.set()
         managed.done.set()
 
-    # -- event streaming (the SSE bridge) ------------------------------
+    # -- event streaming -----------------------------------------------
 
     def events(self, run_id: str) -> Iterator[RunEvent]:
         """Blocking iterator of a run's typed events: full replay,
         then live, ending after the terminal event.
+
+        The terminal :class:`~repro.core.progress.RunCompleted` (or,
+        for a failed run, the end of the stream) is released only once
+        the watcher has persisted the outcome, so a consumer that
+        reads :meth:`status` on it sees the final record.
 
         Non-resident runs (history from before a restart) yield one
         synthesized :class:`~repro.core.progress.RunCompleted` carrying
@@ -370,7 +376,10 @@ class JobRegistry(object):
             yield self._synthesized_completion(self.store.get(run_id))
             return
         for event in managed.handle.events():
+            if isinstance(event, RunCompleted):
+                managed.done.wait()  # persist, then announce
             yield event
+        managed.done.wait()  # a failed run ends without RunCompleted
 
     @staticmethod
     def _synthesized_completion(record: dict) -> RunCompleted:

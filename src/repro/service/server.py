@@ -1,10 +1,11 @@
-"""A stdlib-only asyncio HTTP server over the job registry.
+"""A stdlib-only threaded HTTP server over the job registry.
 
 Evaluation-as-a-service: the REST surface other tooling (and the
-bundled :mod:`repro.service.client`) talks to.  No framework — a small
-HTTP/1.1 request parser over ``asyncio.start_server`` is all a
-single-process job server needs, and it keeps the subsystem free of
-dependencies the container may not have.
+bundled :mod:`repro.service.client`) talks to.  No framework — one
+:class:`http.server.BaseHTTPRequestHandler` on a
+:class:`http.server.ThreadingHTTPServer` is all a single-process job
+server needs, and it keeps the subsystem free of dependencies the
+container may not have.
 
 The API::
 
@@ -31,24 +32,27 @@ frames each :class:`~repro.core.progress.RunEvent` as ::
     event: job_finished
     data: {"type": "job_finished", "job": {...}, ...}
 
-— one frame per event, terminated by the ``run_completed`` frame.  The
-registry's blocking event iterator is pumped on a thread per consumer
-and handed to the asyncio side through ``call_soon_threadsafe``, so a
-slow consumer never stalls the run (RunHandle buffers the replay) and
-several consumers can follow one run live.
+— one frame per event, terminated by the ``run_completed`` frame,
+which the registry releases only once the run's final record is
+persisted.  Every connection is answered on its own thread, so an SSE
+response simply writes the registry's blocking event iterator to the
+socket: a slow consumer never stalls the run (RunHandle buffers the
+replay), several consumers can follow one run live, and a consumer
+that hangs up frees its thread at the next event.
 
 Connections are ``Connection: close`` — one request per connection.
 That is deliberate: the expensive thing here is a simulation sweep,
-not a TCP handshake, and it keeps the parser honest.
+not a TCP handshake.  Every error, the stdlib's own malformed-request
+replies included, is a JSON ``{"error": ...}`` body.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
 import threading
-from typing import Optional, Tuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro._version import __version__
@@ -61,15 +65,13 @@ __all__ = ["ServiceServer"]
 _RUN_PATH = re.compile(r"^/api/runs/(?P<run_id>[0-9a-f]+)(?P<rest>/events|/cancel)?$")
 _HISTORY_RUN_PATH = re.compile(r"^/api/history/runs/(?P<ref>[0-9a-f]+|latest(~[0-9]+)?)$")
 
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
 #: Request bodies above this are refused — a spec is a few KB, so a
 #: larger payload is a mistake (or abuse), not a bigger evaluation.
 MAX_BODY_BYTES = 1 << 20
+
+#: How often the accept loop checks for :meth:`ServiceServer.close`;
+#: it bounds how long closing the server takes.
+_SHUTDOWN_POLL_SECONDS = 0.05
 
 
 class _HttpError(Exception):
@@ -81,8 +83,15 @@ class _HttpError(Exception):
         self.message = message
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    # The stdlib's listen backlog of 5 overflows when a burst of
+    # clients connects at once, and each refused SYN costs its client
+    # a one-second retransmit.
+    request_queue_size = 100
+
+
 class ServiceServer(object):
-    """The asyncio HTTP front of one :class:`JobRegistry`.
+    """The threaded HTTP front of one :class:`JobRegistry`.
 
     ``port=0`` binds an ephemeral port; read :attr:`port` after
     :meth:`start` for the real one (what the CLI prints and the tests
@@ -95,105 +104,92 @@ class ServiceServer(object):
         self.registry = registry
         self.host = host
         self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: set = set()
+        self._httpd: Optional[_HTTPServer] = None
 
-    # -- lifecycle -----------------------------------------------------
+    def start(self) -> None:
+        """Bind (``OSError`` if the address is taken) and serve from a
+        background thread."""
+        self._httpd = _HTTPServer((self.host, self.port), _Handler)
+        self._httpd.registry = self.registry
+        self.port = self._httpd.server_address[1]
+        threading.Thread(
+            target=self._httpd.serve_forever,
+            args=(_SHUTDOWN_POLL_SECONDS,),
+            name="repro-service-http", daemon=True,
+        ).start()
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def close(self) -> None:
+        """Stop accepting connections.  Idempotent.
 
-    async def close(self) -> None:
-        """Stop listening and tear down in-flight handlers.
-
-        Long-lived SSE streams must be cancelled explicitly: since
-        Python 3.12 ``Server.wait_closed`` waits for every open
-        connection, and a stream following an unfinished run would
-        hold shutdown open forever.
+        Requests in flight finish on their own (daemon) threads; an
+        event stream ends when its run does, which
+        :meth:`JobRegistry.shutdown` brings about.
         """
-        if self._server is None:
+        if self._httpd is None:
             return
-        self._server.close()
-        for task in list(self._connections):
-            task.cancel()
-        try:
-            await asyncio.wait_for(self._server.wait_closed(), timeout=5)
-        except asyncio.TimeoutError:  # pragma: no cover - defensive
-            pass
-        self._server = None
+        self._httpd.shutdown()  # returns once the accept loop has exited
+        self._httpd.server_close()
+        self._httpd = None
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
+
+class _Handler(BaseHTTPRequestHandler):
+    """One request per connection, routed straight to the registry."""
+
+    protocol_version = "HTTP/1.1"
+
+    def __getattr__(self, name: str):
+        # Every method reaches the router, which answers 405 (or 404)
+        # for the ones a path does not take, instead of the stdlib's 501.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def log_message(self, format, *args) -> None:
+        pass  # no per-request access log; the CLI prints its own status lines
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's own refusals (malformed request line, oversized
+        headers, ...) get the same JSON body as every other error."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._respond_json(code, {"error": message})
 
     # -- request plumbing ----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+    def _dispatch(self) -> None:
         try:
-            try:
-                method, target, headers, body = await self._read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return  # client went away mid-request; nothing to answer
-            except _HttpError as error:
-                await self._respond_error(writer, error)
-                return
-            try:
-                await self._route(method, target, headers, body, writer)
-            except _HttpError as error:
-                await self._respond_error(writer, error)
-            except (ServiceError, EvaluationError) as error:
-                # Library-level refusals the routes didn't map: client
-                # errors, not server faults.
-                await self._respond_error(writer, _HttpError(400, str(error)))
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                await self._respond_error(
-                    writer, _HttpError(500, "internal error: %s" % error)
-                )
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+            self._route()
+        except _HttpError as error:
+            self.send_error(error.status, error.message)
+        except (ServiceError, EvaluationError) as error:
+            # Library-level refusals the routes didn't map: client
+            # errors, not server faults.
+            self.send_error(400, str(error))
+        except ConnectionError:
+            pass  # the client went away; nothing to answer
+        except Exception as error:  # noqa: BLE001 - last-resort 500
+            self.send_error(500, "internal error: %s" % error)
 
-    @staticmethod
-    async def _read_request(reader) -> Tuple[str, str, dict, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-        if not request_line:
-            raise _HttpError(400, "empty request")
-        parts = request_line.split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _HttpError(400, "malformed request line %r" % request_line)
-        method, target, _version = parts
-        headers = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-            if not line:
-                break
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise _HttpError(400, "malformed header line %r" % line)
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+    def _respond_json(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            pass
+
+    def _body(self) -> bytes:
+        try:
+            length = int(self.headers.get("Content-Length") or "0")
+        except ValueError:
+            raise _HttpError(400, "malformed content-length")
         if length < 0 or length > MAX_BODY_BYTES:
             raise _HttpError(400, "unacceptable content-length %d" % length)
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
+        return self.rfile.read(length) if length else b""
 
     @staticmethod
     def _json_body(body: bytes) -> dict:
@@ -207,55 +203,34 @@ class ServiceServer(object):
             raise _HttpError(400, "request body must be a JSON object")
         return data
 
-    async def _respond_json(self, writer, status: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        head = (
-            "HTTP/1.1 %d %s\r\n"
-            "Content-Type: application/json\r\n"
-            "Content-Length: %d\r\n"
-            "Connection: close\r\n"
-            "\r\n" % (status, _REASONS.get(status, "OK"), len(body))
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    async def _respond_error(self, writer, error: _HttpError) -> None:
-        try:
-            await self._respond_json(
-                writer, error.status, {"error": error.message}
-            )
-        except (ConnectionError, OSError):
-            pass
-
     # -- routing -------------------------------------------------------
 
-    async def _route(self, method, target, headers, body, writer) -> None:
-        url = urlsplit(target)
+    def _route(self) -> None:
+        registry = self.server.registry
+        method = self.command
+        body = self._body()
+        url = urlsplit(self.path)
         path = url.path.rstrip("/") or "/"
-        user = self._identity(headers)
+        user = self._identity()
 
         if path == "/api/health":
-            self._require(method, "GET")
-            await self._respond_json(
-                writer, 200, {"status": "ok", "version": __version__}
-            )
+            self._require("GET")
+            self._respond_json(200, {"status": "ok", "version": __version__})
             return
 
         if path == "/api/runs":
             if method == "GET":
-                query = parse_qs(url.query)
-                query_user = (query.get("user") or [None])[0]
-                runs = await asyncio.to_thread(self.registry.list_runs, query_user)
-                await self._respond_json(writer, 200, {"runs": runs})
+                query_user = (parse_qs(url.query).get("user") or [None])[0]
+                self._respond_json(200, {"runs": registry.list_runs(query_user)})
                 return
             if method == "POST":
-                await self._submit(writer, user, body)
+                self._submit(user, body)
                 return
             raise _HttpError(405, "method %s not allowed on %s" % (method, path))
 
         if path == "/api/history" or path.startswith("/api/history/"):
-            self._require(method, "GET")
-            await self._route_history(path, parse_qs(url.query), writer)
+            self._require("GET")
+            self._route_history(path, parse_qs(url.query))
             return
 
         match = _RUN_PATH.match(path)
@@ -264,26 +239,23 @@ class ServiceServer(object):
         run_id, rest = match.group("run_id"), match.group("rest")
 
         if rest is None:
-            self._require(method, "GET")
-            record = await self._registry_call(self.registry.status, run_id)
-            await self._respond_json(writer, 200, record)
+            self._require("GET")
+            self._respond_json(200, self._registry_call(registry.status, run_id))
         elif rest == "/cancel":
-            self._require(method, "POST")
-            record = await self._registry_call(self.registry.cancel, run_id)
-            await self._respond_json(writer, 202, record)
+            self._require("POST")
+            self._respond_json(202, self._registry_call(registry.cancel, run_id))
         else:  # /events
-            self._require(method, "GET")
-            await self._stream_events(writer, run_id)
+            self._require("GET")
+            self._stream_events(run_id)
 
-    async def _route_history(self, path: str, query: dict, writer) -> None:
+    def _route_history(self, path: str, query: dict) -> None:
         """The read-only regression-intelligence views.
 
-        All of them run the (briefly) blocking HistoryStore calls off
-        the event loop, and all of them 404 when the server was
-        started without ``--history-db`` — absent history is a missing
-        resource, not a client mistake.
+        All of them 404 when the server was started without
+        ``--history-db`` — absent history is a missing resource, not a
+        client mistake.
         """
-        history = self.registry.history
+        history = self.server.registry.history
         if history is None:
             raise _HttpError(
                 404, "history is not enabled (start with --history-db)"
@@ -295,20 +267,13 @@ class ServiceServer(object):
 
         try:
             if path == "/api/history/runs":
-                kind = param("kind")
-                limit = int(param("limit") or 50)
-                runs = await asyncio.to_thread(
-                    history.list_runs, kind, limit
-                )
-                await self._respond_json(writer, 200, {"runs": runs})
+                runs = history.list_runs(param("kind"), int(param("limit") or 50))
+                self._respond_json(200, {"runs": runs})
                 return
             match = _HISTORY_RUN_PATH.match(path)
             if match is not None:
-                def lookup():
-                    return history.get(history.resolve(match.group("ref")))
-
-                record = await asyncio.to_thread(lookup)
-                await self._respond_json(writer, 200, record)
+                record = history.get(history.resolve(match.group("ref")))
+                self._respond_json(200, record)
                 return
             if path == "/api/history/diff":
                 baseline, current = param("baseline"), param("current")
@@ -318,21 +283,18 @@ class ServiceServer(object):
                     )
                 from repro.history import diff_runs
 
-                diff = await asyncio.to_thread(
-                    diff_runs, history, baseline, current
-                )
-                await self._respond_json(writer, 200, diff.to_dict())
+                diff = diff_runs(history, baseline, current)
+                self._respond_json(200, diff.to_dict())
                 return
             if path == "/api/history/leaderboard":
                 from repro.history import leaderboards
 
-                boards = await asyncio.to_thread(
-                    leaderboards, history, int(param("window") or 10),
+                boards = leaderboards(
+                    history, int(param("window") or 10),
                     param("platform"), param("profile"),
                 )
-                await self._respond_json(
-                    writer, 200,
-                    {"leaderboards": [board.to_dict() for board in boards]},
+                self._respond_json(
+                    200, {"leaderboards": [board.to_dict() for board in boards]},
                 )
                 return
         except ValueError as error:
@@ -345,104 +307,71 @@ class ServiceServer(object):
             raise _HttpError(404 if missing else 400, message)
         raise _HttpError(404, "no route for %s" % path)
 
-    @staticmethod
-    def _identity(headers) -> Optional[str]:
+    def _identity(self) -> Optional[str]:
         """The request's user id: absent means anonymous, present
         means non-blank.  A blank/whitespace X-User is always a
         misconfigured client — rejecting it with a 400 beats silently
         billing it to the shared anonymous quota bucket."""
-        if "x-user" not in headers:
+        user = self.headers.get("X-User")
+        if user is None:
             return None
-        user = headers["x-user"].strip()
+        user = user.strip()
         if not user:
             raise _HttpError(400, "X-User header must not be blank")
         return user
 
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise _HttpError(405, "method %s not allowed here" % method)
+    def _require(self, expected: str) -> None:
+        if self.command != expected:
+            raise _HttpError(405, "method %s not allowed here" % self.command)
 
-    async def _registry_call(self, call, *args):
-        """Run a (briefly) blocking registry call off the event loop,
-        mapping "unknown run" to 404 and state refusals to 409."""
+    @staticmethod
+    def _registry_call(call, *args):
+        """A registry call with "unknown run" mapped to 404 and state
+        refusals to 409."""
         try:
-            return await asyncio.to_thread(call, *args)
+            return call(*args)
         except ServiceError as error:
             message = str(error)
             raise _HttpError(404 if "unknown run" in message else 409, message)
 
-    async def _submit(self, writer, user: Optional[str], body: bytes) -> None:
+    def _submit(self, user: Optional[str], body: bytes) -> None:
         data = self._json_body(body)
         if "spec" not in data or not isinstance(data["spec"], dict):
             raise _HttpError(400, 'submission must carry a "spec" JSON object')
         try:
-            record = await asyncio.to_thread(
-                self.registry.submit, user, data["spec"]
-            )
+            record = self.server.registry.submit(user, data["spec"])
         except EvaluationError as error:
             raise _HttpError(400, "invalid spec: %s" % error)
         except ServiceError as error:
             raise _HttpError(503, str(error))
-        await self._respond_json(
-            writer, 202,
+        self._respond_json(
+            202,
             {"run_id": record["run_id"], "state": record["state"],
              "user": record["user"], "spec_hash": record["spec_hash"]},
         )
 
     # -- Server-Sent Events --------------------------------------------
 
-    async def _stream_events(self, writer, run_id: str) -> None:
+    def _stream_events(self, run_id: str) -> None:
+        registry = self.server.registry
         # Resolve "unknown run" before committing to a 200 stream.
-        await self._registry_call(self.registry.status, run_id)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/event-stream\r\n"
-            "Cache-Control: no-cache\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-        await writer.drain()
-
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
-        _END = object()
-
-        def push(item) -> bool:
-            # The loop may be gone if the server shut down mid-stream;
-            # the pump just stops then.
-            try:
-                loop.call_soon_threadsafe(queue.put_nowait, item)
-                return True
-            except RuntimeError:
-                return False
-
-        def pump() -> None:
-            # The registry iterator blocks between live events; feed
-            # the loop from this thread.  A ServiceError here means the
-            # run vanished mid-setup — end the stream, the consumer
+        self._registry_call(registry.status, run_id)
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        events = registry.events(run_id)
+        try:
+            for event in events:
+                payload = event_to_dict(event)
+                frame = "event: %s\ndata: %s\n\n" % (
+                    payload["type"], json.dumps(payload, sort_keys=True)
+                )
+                self.wfile.write(frame.encode("utf-8"))
+        except ServiceError:
+            # The run vanished mid-setup: end the stream, the consumer
             # re-queries state over the REST side.
-            try:
-                for event in self.registry.events(run_id):
-                    if not push(event):
-                        return
-            except ServiceError:
-                pass
-            finally:
-                push(_END)
-
-        threading.Thread(
-            target=pump, name="repro-service-sse-%s" % run_id, daemon=True
-        ).start()
-
-        while True:
-            event = await queue.get()
-            if event is _END:
-                break
-            payload = event_to_dict(event)
-            frame = "event: %s\ndata: %s\n\n" % (
-                payload["type"], json.dumps(payload, sort_keys=True)
-            )
-            writer.write(frame.encode("utf-8"))
-            await writer.drain()
+            pass
+        finally:
+            events.close()  # a consumer that hung up stops following now

@@ -11,21 +11,22 @@ Two executor stand-ins make concurrency deterministic:
   holds exactly N values (the scheduler stores before it emits).
 
 :class:`ServiceHarness` boots the full stack (store + registry +
-asyncio HTTP server on a background loop thread) against a temporary
-database, exactly like ``repro serve`` but in-process; ``graceful=False``
-teardown leaves the store rows as an unclean kill would, for the
-restart/resume tests.
+threaded HTTP server) against a temporary database, exactly like
+``repro serve`` but in-process; ``graceful=False`` teardown leaves the
+store rows as an unclean kill would, for the restart/resume tests.
+``store_class`` swaps in a :class:`RunStore` subclass (a deliberately
+slow one pins the persist-then-announce contract).
 """
 
-import asyncio
 import threading
+import time
 
 from repro.core.executors import Executor, JobOutcome, execute_job_instrumented
 from repro.core.spec import EvaluationSpec
 from repro.service.client import ServiceClient
 from repro.service.registry import JobRegistry
 from repro.service.server import ServiceServer
-from repro.service.store import RunStore
+from repro.service.store import TERMINAL_STATES, RunStore
 
 _TINY = dict(
     tpl_sizes=(1024,),
@@ -76,30 +77,37 @@ class StepExecutor(Executor):
             yield execute_job_instrumented(job, retries)
 
 
-class ServiceHarness(object):
-    """Store + registry + HTTP server on a background event loop."""
+class SlowTerminalStore(RunStore):
+    """Commits every terminal transition only after a pause: it widens
+    the window in which a run has ended but its outcome is not yet
+    persisted, which is where an early announcement would show."""
 
-    def __init__(self, db_path, scheduler_factory=None, per_user_limit=2):
-        self.store = RunStore(str(db_path))
+    delay = 0.3
+
+    def transition(self, run_id, state, **fields):
+        if state in TERMINAL_STATES:
+            time.sleep(self.delay)
+        return super().transition(run_id, state, **fields)
+
+
+def cancel_requested(registry, run_id):
+    """The running handle's cancel request, an Event a test can wait
+    on to order "shutdown cancelled the run" before releasing a gate."""
+    return registry._runs[run_id].handle._cancel_event
+
+
+class ServiceHarness(object):
+    """Store + registry + HTTP server on its background thread."""
+
+    def __init__(self, db_path, scheduler_factory=None, per_user_limit=2,
+                 store_class=RunStore):
+        self.store = store_class(str(db_path))
         self.recovered = self.store.recover()
         self.registry = JobRegistry(
             self.store, scheduler_factory, per_user_limit=per_user_limit
         )
         self.server = ServiceServer(self.registry)
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(self._loop)
-            self._loop.run_until_complete(self.server.start())
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="service-harness-loop", daemon=True
-        )
-        self._thread.start()
-        assert started.wait(10), "server failed to start"
+        self.server.start()
         self.port = self.server.port
         self._stopped = False
 
@@ -112,11 +120,7 @@ class ServiceHarness(object):
         if self._stopped:
             return
         self._stopped = True
-        future = asyncio.run_coroutine_threadsafe(self.server.close(), self._loop)
-        future.result(10)
+        self.server.close()
         if graceful:
             self.registry.shutdown(timeout=10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(10)
-        self._loop.close()
         self.store.close()

@@ -1,8 +1,11 @@
 """JobRegistry: admission, FIFO queues, cancel, shutdown, persistence.
 
 Concurrency is made deterministic with the gate/step executors from
-conftest: a gated run stays ``running`` until the test releases it, a
-stepped run finishes exactly as many jobs as permits released.
+service_helpers: a gated run stays ``running`` until the test releases
+it, a stepped run finishes exactly as many jobs as permits released,
+and shutdown ordering waits on the handle's cancel request, not on a
+sleep.  A store that commits terminal states slowly pins that a run's
+event stream ends only after its outcome is persisted.
 """
 
 import threading
@@ -17,7 +20,13 @@ from repro.errors import EvaluationError, ServiceError
 from repro.service.registry import DEFAULT_USER, JobRegistry, normalize_user
 from repro.service.store import RunStore
 
-from service_helpers import GateExecutor, StepExecutor, tiny_spec
+from service_helpers import (
+    GateExecutor,
+    SlowTerminalStore,
+    StepExecutor,
+    cancel_requested,
+    tiny_spec,
+)
 
 
 @pytest.fixture
@@ -207,6 +216,46 @@ class TestCancelRunning:
         assert events[-1].cancelled
 
 
+class FailingExecutor(GateExecutor):
+    """Fails the run at its first job."""
+
+    name = "failing"
+
+    def submit(self, jobs, retries=1):
+        raise RuntimeError("simulated executor crash")
+        yield  # pragma: no cover - makes this a generator
+
+
+class TestPersistThenAnnounce:
+    """The end of a run's stream is announced only once its outcome is
+    stored: a slow terminal commit must not be observable."""
+
+    def test_status_read_on_run_completed_is_final(self, tmp_path):
+        spec = tiny_spec()
+        with SlowTerminalStore(str(tmp_path / "slow.db")) as store:
+            with JobRegistry(store) as registry:
+                run_id = registry.submit("alice", spec)["run_id"]
+                for event in registry.events(run_id):
+                    if isinstance(event, RunCompleted):
+                        record = registry.status(run_id)
+                        break
+        assert record["state"] == "completed"
+        assert record["simulated"] == len(spec.jobs())
+        assert record["cache_hits"] == 0
+        assert record["result"]["scores"]
+
+    def test_failed_run_stream_ends_after_the_failure_is_stored(self, tmp_path):
+        factory = lambda: Scheduler(executor=FailingExecutor(), cache=ResultCache())  # noqa: E731
+        with SlowTerminalStore(str(tmp_path / "slow.db")) as store:
+            with JobRegistry(store, factory) as registry:
+                run_id = registry.submit("alice", tiny_spec())["run_id"]
+                events = list(registry.events(run_id))
+                record = registry.status(run_id)
+        assert not any(isinstance(event, RunCompleted) for event in events)
+        assert record["state"] == "failed"
+        assert "simulated executor crash" in record["error"]
+
+
 class TestShutdownAndRestart:
     def test_shutdown_cancels_running_and_queued(self, store):
         gate = GateExecutor()
@@ -216,7 +265,7 @@ class TestShutdownAndRestart:
         b = registry.submit("alice", tiny_spec(tools=("express",)))
         stopper = threading.Thread(target=registry.shutdown, kwargs={"timeout": 30})
         stopper.start()
-        time.sleep(0.05)  # let shutdown cancel the handles
+        assert cancel_requested(registry, a["run_id"]).wait(10)
         gate.release.set()  # then let the in-flight job drain
         stopper.join(30)
         assert not stopper.is_alive()

@@ -1,9 +1,9 @@
 """End-to-end over HTTP: the full evaluation-as-a-service journey.
 
-Each test boots the real stack — SQLite store, registry, asyncio HTTP
-server on a background loop — and talks to it only through
-:class:`~repro.service.client.ServiceClient`, exactly like external
-tooling would.  Covered here (the PR's acceptance criteria):
+Each test boots the real stack — SQLite store, registry, threaded
+HTTP server — and talks to it only through
+:class:`~repro.service.client.ServiceClient` (or raw ``http.client``),
+exactly like external tooling would.  Covered here:
 
 * submit -> SSE replay + live -> ``run_completed`` -> the stored
   record carries the same scores as a direct ``Scheduler.run``;
@@ -12,13 +12,19 @@ tooling would.  Covered here (the PR's acceptance criteria):
 * cancel mid-run yields ``cancelled`` with partial results persisted;
 * an uncleanly killed server, restarted over the same database and
   cache directory, lists history and resubmits simulate only the jobs
-  that never finished (cache-hit counters prove it).
+  that never finished (cache-hit counters prove it);
+* ``wait()`` returns the persisted final record even when the store
+  commits the terminal state slowly;
+* a consumer that hangs up mid-stream stops following the run at the
+  next event, not when the run ends;
+* a burst of connects waits in the listen backlog instead of having
+  SYNs dropped.
 """
 
 import http.client
 import json
+import socket
 import threading
-import time
 
 import pytest
 
@@ -26,7 +32,14 @@ from repro.core.cache import ResultCache
 from repro.core.progress import CacheHit, JobFinished, JobStarted, RunCompleted
 from repro.core.scheduler import Scheduler
 from repro.errors import ServiceError
-from service_helpers import GateExecutor, StepExecutor, tiny_spec
+from service_helpers import (
+    GateExecutor,
+    ServiceHarness,
+    SlowTerminalStore,
+    StepExecutor,
+    cancel_requested,
+    tiny_spec,
+)
 
 
 def raw_request(port, method, path, body=None, headers=None):
@@ -120,6 +133,26 @@ class TestHealthAndErrors:
         assert data["user"] == "alice"
         record = harness.client().wait(data["run_id"])
         assert record["user"] == "alice"
+
+
+class TestConnectionBurst:
+    def test_listen_backlog_holds_a_burst_of_connects(self):
+        """Connections that arrive faster than the accept loop takes
+        them wait in the listen backlog; past it, the kernel drops the
+        SYN and the client retries only after a second."""
+        from repro.service.server import _Handler, _HTTPServer
+
+        server = _HTTPServer(("127.0.0.1", 0), _Handler)  # bound, not accepting
+        connections = []
+        try:
+            for _ in range(50):
+                connections.append(
+                    socket.create_connection(server.server_address, timeout=0.5)
+                )
+        finally:
+            for connection in connections:
+                connection.close()
+            server.server_close()
 
 
 class TestJourney:
@@ -248,6 +281,62 @@ class TestCancelOverHttp:
             step.steps.release(100)
 
 
+class TestPersistThenAnnounce:
+    def test_wait_returns_the_persisted_final_record(self, tmp_path):
+        """``wait()`` fetches the record right after ``run_completed``;
+        a slow terminal commit must not make that read stale."""
+        harness = ServiceHarness(
+            tmp_path / "slow.db", store_class=SlowTerminalStore
+        )
+        spec = tiny_spec()
+        try:
+            client = harness.client()
+            record = client.wait(client.submit(spec))
+        finally:
+            harness.stop()
+        assert record["state"] == "completed"
+        assert record["simulated"] == len(spec.jobs())
+        assert record["cache_hits"] == 0
+
+
+class TestStreamHangup:
+    def test_consumer_that_hangs_up_stops_following_the_run(
+        self, harness_factory
+    ):
+        step = StepExecutor()
+        harness = harness_factory(
+            scheduler_factory=lambda: Scheduler(
+                executor=step, cache=ResultCache()
+            ),
+        )
+        registry = harness.registry
+        follow = registry.events
+        closed = threading.Event()
+
+        def events(run_id):
+            try:
+                yield from follow(run_id)
+            finally:
+                closed.set()
+
+        registry.events = events
+        try:
+            run_id = harness.client().submit(tiny_spec())  # 5 jobs
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", harness.port, timeout=30
+            )
+            connection.request("GET", "/api/runs/%s/events" % run_id)
+            response = connection.getresponse()
+            assert response.readline() == b"event: job_started\n"
+            response.close()
+            connection.close()
+            step.steps.release(3)
+            assert closed.wait(10)
+            assert registry.status(run_id)["state"] == "running"
+        finally:
+            step.steps.release(100)
+
+
 class TestRestartResume:
     def test_killed_server_resumes_only_unfinished_jobs(
         self, harness_factory, tmp_path
@@ -321,7 +410,8 @@ class TestGracefulShutdown:
             target=harness.stop, kwargs={"graceful": True}
         )
         stopper.start()
-        time.sleep(0.2)  # let shutdown cancel the handles first
+        # let shutdown cancel the handle first
+        assert cancel_requested(harness.registry, running).wait(10)
         gate.release.set()  # then the in-flight job drains
         stopper.join(30)
         assert not stopper.is_alive()

@@ -8,9 +8,9 @@ the jobs of a TPL plus Monte Carlo grid must not pull in numpy: a
 coordinator holds every result of a long sweep in memory, and the
 numeric stack would add half again to its resident size.  Nor does it
 need asyncio, which would cost most of the executor layer's import
-time.  Each check
-runs in a fresh interpreter, since this one has long since imported
-everything.
+time; the service's HTTP front runs on stdlib threads and loads none
+either.  Each check runs in a fresh interpreter, since this one has
+long since imported everything.
 """
 
 import os
@@ -80,6 +80,7 @@ def test_package_exports_resolve_on_first_use(package, name, kind):
     "repro.core.executors",
     "repro.core.scheduler",
     "repro.distributed.executor",
+    "repro.service.server",
 ])
 def test_executor_layer_loads_no_asyncio(module):
     script = "import sys, %s; print(' '.join(name for name in sys.modules if name.split('.')[0] == 'asyncio'))" % module
