@@ -14,10 +14,14 @@ This example walks the whole loop in-process:
    the diff flags the moved cells as regressions with Welch
    confidence intervals, and the CI gate fails with exit-code
    semantics a pipeline can act on;
-4. print the tool leaderboard aggregated over the recorded window.
+4. print the tool leaderboard aggregated over the recorded window;
+5. hand the same store to the evaluation service's job registry: a
+   run submitted there is one more row of the history, written in one
+   transaction when it completes, and ``latest`` now names it.
 
 The same store backs ``repro evaluate --history-db``, the
-``repro history`` CLI, and the service's ``/api/history`` routes.
+``repro history`` CLI, and ``repro serve --db`` with its
+``/api/history`` routes.
 
 Run with::
 
@@ -35,6 +39,7 @@ from repro.history import (
     leaderboards,
     run_gate,
 )
+from repro.service import JobRegistry
 
 #: Small grid keeps the example interactive; three seeds give the
 #: Welch intervals something to work with.
@@ -102,6 +107,20 @@ def main() -> None:
             for board in leaderboards(store, window=10):
                 print("  %s / %s -> winner: %s"
                       % (board.platform, board.profile, board.winner))
+
+            # The service keeps its runs in the same store.
+            with JobRegistry(store) as registry:
+                run_id = registry.submit("demo", SPEC)["run_id"]
+                for _ in registry.events(run_id):
+                    pass  # the stream ends once the run is persisted
+            assert store.resolve("latest") == run_id
+            record = store.get(run_id)
+            print("\nservice run %s: %s by %s, %d samples"
+                  % (run_id, record["state"], record["user"],
+                     len(store.samples_for(run_id))))
+            diff = diff_runs(store, "latest~3", "latest")
+            print("  diff monday..service run: "
+                  + diff.render().splitlines()[-1])
 
 
 if __name__ == "__main__":

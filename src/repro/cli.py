@@ -333,10 +333,15 @@ evaluation as a service:
   the per-user concurrency limit (--user-limit) applies to; runs
   beyond the limit queue FIFO.
 
-  --db persists every run (spec, state, counters, results) in SQLite,
-  so a restarted server lists history; with --cache-dir the
-  measurements themselves persist too, and resubmitting an
-  interrupted spec simulates only the jobs that never finished.
+  --db (also spelled --history-db) is the SQLite run-history database:
+  every run's spec, state, counters and results, so a restarted server
+  lists history, and each completed run is readable under GET
+  /api/history/... and by `repro history --db` (diff, leaderboard,
+  gate).  One server per database: on startup the server marks runs a
+  previous server left queued or running as cancelled or failed.  With
+  --cache-dir the measurements themselves persist too, and
+  resubmitting an interrupted spec simulates only the jobs that never
+  finished.
   SIGTERM/SIGINT shut down gracefully: running evaluations cancel
   cooperatively (in-flight jobs finish and persist), queued runs are
   marked cancelled, then the server exits 0.
@@ -356,9 +361,10 @@ evaluation as a service:
     serve.add_argument("--port", type=int, default=8765,
                        help="TCP port; 0 picks an ephemeral one "
                             "(default 8765)")
-    serve.add_argument("--db", metavar="PATH", default="repro-service.db",
-                       help="SQLite run-history database "
-                            "(default repro-service.db)")
+    serve.add_argument("--db", "--history-db", dest="db", metavar="PATH",
+                       default="repro-service.db",
+                       help="SQLite run-history database, one server "
+                            "at a time (default repro-service.db)")
     serve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persistent measurement cache shared by "
                             "every run the server executes")
@@ -381,10 +387,6 @@ evaluation as a service:
     serve.add_argument("--user-limit", type=int, default=2,
                        help="concurrent runs per X-User identity; "
                             "further submissions queue FIFO (default 2)")
-    serve.add_argument("--history-db", metavar="PATH", default=None,
-                       help="append every completed run to this run-history "
-                            "database and expose GET /api/history/... "
-                            "(default: history disabled)")
 
     history = sub.add_parser(
         "history",
@@ -395,10 +397,11 @@ regression intelligence:
   One SQLite database remembers every run you record — the full
   results export plus spec hash, git SHA, timestamp and
   noise/engine/backend provenance — and the subcommands read it back
-  as a trajectory instead of a snapshot.
+  as a trajectory instead of a snapshot.  A `repro serve --db` database
+  is one too: every run the service completed is a recorded run.
 
   Runs are addressed by id, by any unique id prefix, or relatively:
-  `latest` is the newest recorded run and `latest~1` the one before
+  `latest` is the newest completed run and `latest~1` the one before
   it, so the canonical CI gate needs no bookkeeping:
 
     repro evaluate --seeds 0 1 2 --history-db history.db
@@ -424,8 +427,8 @@ regression intelligence:
   overlap too much to call.
 
   The database schema is generation-stamped (PRAGMA user_version); a
-  database written by a different generation is refused, never
-  silently reinterpreted.
+  database written by a different generation, or one holding tables
+  the store did not create, is refused, never silently reinterpreted.
 
 exit status: 0 ok, 1 gate failure, 2 usage error / bad reference.
 """,
@@ -977,13 +980,14 @@ def _cmd_serve(args) -> int:
     from repro.core.cache import ResultCache
     from repro.core.scheduler import Scheduler, create_executor
     from repro.errors import ReproError
-    from repro.service import JobRegistry, RunStore, ServiceServer
+    from repro.history import HistoryStore
+    from repro.service import JobRegistry, ServiceServer
 
     try:
         if args.user_limit < 1:
             print("error: --user-limit must be >= 1")
             return 2
-        store = RunStore(args.db)
+        store = HistoryStore(args.db)
         orphans = store.recover()
         if orphans:
             print("reconciled %d orphaned run(s) from a previous server"
@@ -1007,14 +1011,9 @@ def _cmd_serve(args) -> int:
         # first submitted run.
         scheduler_factory().executor.close()
 
-        history = None
-        if args.history_db:
-            from repro.history import HistoryStore
-
-            history = HistoryStore(args.history_db)
         registry = JobRegistry(
             store, scheduler_factory=scheduler_factory,
-            per_user_limit=args.user_limit, history=history,
+            per_user_limit=args.user_limit,
         )
         server = ServiceServer(registry, host=args.host, port=args.port)
     except ReproError as error:
@@ -1053,8 +1052,6 @@ def _cmd_serve(args) -> int:
         registry.shutdown()
     finally:
         store.close()
-        if history is not None:
-            history.close()
     print("service stopped; run history is in %s" % args.db)
     return 0
 

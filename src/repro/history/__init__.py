@@ -2,9 +2,10 @@
 
 Every :class:`~repro.core.results.ResultSet` the repo produces is
 ephemeral — one process's view of one measurement pass.  This package
-is the memory on top: a :class:`HistoryStore` appends each run (full
-export JSON plus spec hash, git SHA, timestamp and provenance, with a
-denormalized ``samples`` table for SQL-side aggregation), the diff
+is the memory on top: a :class:`HistoryStore` keeps one row per run
+(full export JSON plus spec hash, git SHA, timestamps, lifecycle state
+and provenance, with a denormalized ``samples`` table for SQL-side
+aggregation; a row is immutable once its run is over), the diff
 engine aligns two runs cell by cell and judges each delta with the
 multi-seed Student-t machinery from :mod:`repro.core.stats`, the
 analytics layer ranks tools and spots repeat offenders over the
@@ -12,8 +13,9 @@ recorded history, and the gate turns a diff into a CI exit code.
 
 Surfaced as ``repro history record|list|show|diff|leaderboard|trend|
 gate``, as ``run_evaluation(history_db=...)`` / ``repro evaluate
---history-db``, and as the service's ``GET /api/history/...`` read
-endpoints.
+--history-db``, and by the evaluation service, which keeps its runs in
+the same store (``repro serve --db``) and serves its ``GET
+/api/history/...`` read endpoints from it.
 """
 
 from repro.history.analytics import HistoryAnalysis, TrendSeries, analyze_history, trend

@@ -1,10 +1,9 @@
-"""The run-history store: every recorded run, forever (SQLite, WAL).
+"""The run store: every run, its lifecycle and results (SQLite, WAL).
 
-One row per recorded run — the full :class:`~repro.core.results.ResultSet`
-export JSON plus provenance (spec hash, git SHA, wall-clock timestamp,
-noise/engine/backend, who recorded it) — and three denormalized tables
-the analytics layer aggregates **in SQL** instead of re-parsing every
-export:
+One row per run — its state, the full :class:`~repro.core.results.ResultSet`
+export JSON and provenance (spec hash, git SHA, timestamps,
+noise/engine/backend, who asked for it) — and three denormalized
+tables the analytics layer aggregates **in SQL**:
 
 * ``samples`` — one row per measurement, keyed by the spec cell
   ``(platform, tool, kind, size, seed)`` (plus the full canonical
@@ -17,18 +16,40 @@ export:
   runs, so the perf trajectory and the evaluation history live in one
   database (``scripts/bench_report.py --history-db``).
 
-The store mirrors :class:`~repro.service.store.RunStore`'s concurrency
-model: one connection serialized behind a lock, WAL so readers never
-block the writer (the service's watcher threads append while the HTTP
-history endpoints read).  ``PRAGMA user_version`` stamps the schema
-generation; opening a database written by a different generation
-raises :class:`~repro.errors.HistoryError` instead of silently
-misreading rows — history is the one artifact that must never be
-quietly reinterpreted.
+:meth:`HistoryStore.record_result` and :meth:`HistoryStore.record_bench`
+insert a finished run.  The evaluation service (``repro serve``)
+creates a ``queued`` row per submission and moves it along the state
+machine ::
+
+    queued ──> running ──> completed
+       │          ├──────> cancelled
+       │          └──────> failed
+       └───────> cancelled
+
+with :meth:`~HistoryStore.transition`, which refuses illegal moves
+(:class:`~repro.errors.ServiceError`); ``queued -> failed`` lets
+:meth:`~HistoryStore.recover` reconcile a crashed server's orphans.
+A ``completed`` transition writes the state, payload, provenance,
+samples and scores in one transaction, through the row builder
+:meth:`record_result` uses.  Cancelled runs keep their partial payload
+without sample or score rows; failed runs get neither.  A row is
+immutable once terminal.  History views (:meth:`list_runs`,
+:meth:`resolve`, and through them diffs, leaderboards and analyses)
+see only ``completed`` runs; the service's views (:meth:`service_run`,
+:meth:`service_runs`) only the rows the service created.
+
+One connection serialized behind a lock, WAL so readers never block
+the writer (the service's watcher threads write while the HTTP
+handlers read).  ``PRAGMA user_version`` stamps the schema generation;
+opening a database written by a different generation, or one this
+module did not create, raises :class:`~repro.errors.HistoryError`
+instead of silently misreading rows — history is the one artifact that
+must never be quietly reinterpreted.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import subprocess
@@ -37,26 +58,44 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import HistoryError
-from repro.service.store import spec_hash
+from repro.errors import HistoryError, ServiceError
 
 __all__ = [
     "SCHEMA_VERSION",
     "RUN_KINDS",
+    "RUN_STATES",
+    "TERMINAL_STATES",
+    "VALID_TRANSITIONS",
     "HistoryStore",
     "current_git_sha",
     "flatten_metrics",
+    "spec_hash",
 ]
 
 #: Schema generation stamped into ``PRAGMA user_version``.  Bump this
 #: when the tables change shape; old databases are then refused with a
 #: message naming both generations (the migration path is deliberate:
 #: re-record, or migrate offline — never guess).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: What a recorded run can be: a full evaluation export, or a
 #: ``BENCH_*.json`` benchmark report.
 RUN_KINDS = ("evaluation", "bench")
+
+#: Every state a run can be in, in lifecycle order.
+RUN_STATES = ("queued", "running", "completed", "cancelled", "failed")
+
+#: States with no successor: the run is over.
+TERMINAL_STATES = frozenset(("completed", "cancelled", "failed"))
+
+#: The state machine: current state -> the states it may move to.
+VALID_TRANSITIONS = {
+    "queued": frozenset(("running", "cancelled", "failed")),
+    "running": frozenset(("completed", "cancelled", "failed")),
+    "completed": frozenset(),
+    "cancelled": frozenset(),
+    "failed": frozenset(),
+}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -65,17 +104,25 @@ CREATE TABLE IF NOT EXISTS runs (
     label        TEXT,
     source       TEXT NOT NULL,
     recorded_at  REAL NOT NULL,
+    user         TEXT,
+    state        TEXT NOT NULL,
+    error        TEXT,
+    created_at   REAL,
+    started_at   REAL,
+    finished_at  REAL,
     git_sha      TEXT,
     spec_hash    TEXT,
+    spec_json    TEXT,
     engine       TEXT,
     backend      TEXT,
     noise        REAL NOT NULL DEFAULT 0,
     simulated    INTEGER,
     cache_hits   INTEGER,
     wall_seconds REAL,
-    payload_json TEXT NOT NULL
+    payload_json TEXT
 );
 CREATE INDEX IF NOT EXISTS runs_by_time ON runs (recorded_at, run_id);
+CREATE INDEX IF NOT EXISTS runs_by_user ON runs (user, created_at);
 CREATE TABLE IF NOT EXISTS samples (
     run_id     TEXT NOT NULL,
     platform   TEXT NOT NULL,
@@ -108,10 +155,27 @@ CREATE TABLE IF NOT EXISTS metrics (
 CREATE INDEX IF NOT EXISTS metrics_by_run ON metrics (run_id);
 """
 
+#: The columns of a service run record (``GET /api/runs/{id}``), with
+#: ``spec_json``/``payload_json`` parsed into ``spec``/``result``.
+_SERVICE_COLUMNS = ("run_id, user, spec_json, spec_hash, state, error,"
+                    " created_at, started_at, finished_at, simulated,"
+                    " cache_hits, wall_seconds, payload_json")
+
 #: Sample params whose value is the cell's "size" axis, in lookup
 #: order (a sendrecv/broadcast/ring job has ``nbytes``, a global sum
 #: has ``vector_ints``; applications have neither and store NULL).
 _SIZE_PARAMS = ("nbytes", "vector_ints")
+
+
+def spec_hash(spec_dict: dict) -> str:
+    """Content address of a spec: SHA-256 over its canonical JSON.
+
+    Two submissions of the same grid share the hash (the service's
+    "is this a resubmission?" signal), mirroring how
+    :func:`~repro.core.cache.job_key` addresses individual jobs.
+    """
+    payload = json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def current_git_sha(short: bool = True) -> Optional[str]:
@@ -148,7 +212,7 @@ def flatten_metrics(node: Any, prefix: Tuple[str, ...] = ()) -> Dict[str, float]
     return out
 
 
-def _sample_row(run_id: str, sample: Dict[str, Any]) -> Tuple:
+def _sample_row(sample: Dict[str, Any]) -> Tuple:
     params = dict(sample.get("params") or {})
     size = None
     for name in _SIZE_PARAMS:
@@ -156,7 +220,6 @@ def _sample_row(run_id: str, sample: Dict[str, Any]) -> Tuple:
             size = int(params[name])
             break
     return (
-        run_id,
         sample["platform"],
         sample["tool"],
         sample["kind"],
@@ -168,22 +231,73 @@ def _sample_row(run_id: str, sample: Dict[str, Any]) -> Tuple:
     )
 
 
-class HistoryStore(object):
-    """Append-only run history with SQL-side aggregation views.
+def _evaluation_rows(
+    export: Dict[str, Any],
+    engine: Optional[str] = None,
+    backend: Optional[str] = None,
+) -> Tuple[Dict[str, Any], List[Tuple], List[Tuple]]:
+    """An evaluation export (see :meth:`HistoryStore.record_result`) as
+    the ``runs`` fields it fills, its ``samples`` rows and its
+    ``scores`` rows, each without the run id."""
+    if not isinstance(export, dict) or not isinstance(export.get("spec"), dict):
+        raise HistoryError(
+            "not a results export (no 'spec' object) — record the JSON "
+            "written by `repro evaluate --json` or ResultSet.to_dict()"
+        )
+    if not isinstance(export.get("samples"), list):
+        raise HistoryError(
+            "not a results export (no 'samples' list) — a spec alone "
+            "records nothing worth diffing"
+        )
+    spec = export["spec"]
+    telemetry = export.get("telemetry") or {}
+    summary = telemetry.get("summary") or {}
+    if engine is None:
+        engines = sorted({
+            job.get("engine", "event") for job in telemetry.get("jobs", ())
+        })
+        engine = ",".join(engines) if engines else None
+    if backend is None:
+        executors = summary.get("executors")
+        backend = ",".join(executors) if executors else None
+    fields = {
+        "spec_hash": spec_hash(spec),
+        "engine": engine,
+        "backend": backend,
+        "noise": float(spec.get("noise", 0.0)),
+        "simulated": summary.get("simulated"),
+        "cache_hits": summary.get("cache_hits"),
+        "wall_seconds": summary.get("total_wall_seconds"),
+        "payload_json": json.dumps(export, sort_keys=True),
+    }
+    sample_rows = [_sample_row(sample) for sample in export["samples"]]
+    score_rows = []
+    for cell, tools in sorted((export.get("statistics") or {}).items()):
+        platform, _, profile = cell.partition("/")
+        for tool, stats in sorted(tools.items()):
+            score_rows.append((
+                platform, profile, tool,
+                float(stats["mean"]), float(stats.get("stddev", 0.0)),
+                int(stats.get("n", 1)),
+            ))
+    return fields, sample_rows, score_rows
 
-    One store may be shared by the CLI, the bench scripts and a
-    service process; every method is thread-safe.  Runs are never
-    mutated after :meth:`record_result` / :meth:`record_bench` —
-    history is append-only by design (delete rows with sqlite3 if you
-    must, but nothing in the repo ever will).
+
+class HistoryStore(object):
+    """The one run store: service lifecycle, history and SQL-side
+    aggregation views over one SQLite database.
+
+    One store may be shared by the CLI, the bench scripts and one
+    service process; every method is thread-safe.  A row never changes
+    once its state is terminal (delete rows with sqlite3 if you must,
+    but nothing in the repo ever will).
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._lock = threading.Lock()
-        # Single connection, serialized by our lock (same model as the
-        # service's RunStore): check_same_thread off is safe because
-        # no two threads ever use it concurrently.
+        # Single connection, serialized by our lock: check_same_thread
+        # off is safe because no two threads ever use it concurrently.
         try:
             connection = sqlite3.connect(path, check_same_thread=False)
         except sqlite3.Error as error:
@@ -193,20 +307,69 @@ class HistoryStore(object):
         self.recorded = 0  # guarded-by: _lock
         self.reads = 0  # guarded-by: _lock
         with self._lock:
-            version = self._db.execute("PRAGMA user_version").fetchone()[0]
-            if version not in (0, SCHEMA_VERSION):
+            try:
+                self._open_locked()
+            except sqlite3.DatabaseError as error:
                 self._db.close()
-                raise HistoryError(
-                    "%s was written by history schema v%d; this build reads "
-                    "v%d — refusing to reinterpret it (re-record into a "
-                    "fresh database, or migrate offline)"
-                    % (path, version, SCHEMA_VERSION)
-                )
-            self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.executescript(_SCHEMA)
-            self._db.execute("PRAGMA user_version=%d" % SCHEMA_VERSION)
-            self._db.commit()
+                raise HistoryError("cannot open %s (%s)" % (path, error))
+            except HistoryError:
+                self._db.close()
+                raise
+
+    def _open_locked(self) -> None:
+        version = self._db.execute("PRAGMA user_version").fetchone()[0]
+        if version not in (0, SCHEMA_VERSION):
+            raise HistoryError(
+                "%s was written by history schema v%d; this build reads "
+                "v%d — refusing to reinterpret it (re-record into a "
+                "fresh database, or migrate offline)"
+                % (self.path, version, SCHEMA_VERSION)
+            )
+        if version == 0 and self._db.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table'"
+        ).fetchone():
+            raise HistoryError(
+                "%s holds tables this build did not create (no history "
+                "schema stamp) — refusing to reinterpret it; point --db "
+                "at a fresh file" % self.path
+            )
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._db.executescript(_SCHEMA)
+        self._db.execute("PRAGMA user_version=%d" % SCHEMA_VERSION)
+        self._db.commit()
+
+    # -- row plumbing --------------------------------------------------
+
+    def _insert_locked(self, fields: Dict[str, Any]) -> None:
+        self._db.execute(
+            "INSERT INTO runs (%s) VALUES (%s)"
+            % (", ".join(fields), ", ".join("?" for _ in fields)),
+            tuple(fields.values()),
+        )
+
+    def _add_cells_locked(
+        self, run_id: str, sample_rows: List[Tuple], score_rows: List[Tuple],
+    ) -> None:
+        self._db.executemany(
+            "INSERT INTO samples (run_id, platform, tool, kind, size,"
+            " params, processors, seed, seconds)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [(run_id,) + row for row in sample_rows],
+        )
+        self._db.executemany(
+            "INSERT INTO scores (run_id, platform, profile, tool, mean,"
+            " stddev, n) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            [(run_id,) + row for row in score_rows],
+        )
+
+    def _fresh_id_locked(self) -> str:
+        run_id = uuid.uuid4().hex[:12]
+        while self._db.execute(
+            "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)
+        ).fetchone():  # pragma: no cover - astronomically rare
+            run_id = uuid.uuid4().hex[:12]
+        return run_id
 
     # -- recording -----------------------------------------------------
 
@@ -219,7 +382,7 @@ class HistoryStore(object):
         engine: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> str:
-        """Append one evaluation run; returns its generated run id.
+        """Record one finished evaluation; returns its generated run id.
 
         ``export`` is :meth:`ResultSet.to_dict` output (or the parsed
         JSON a ``repro evaluate --json`` run wrote): ``spec`` and
@@ -227,65 +390,15 @@ class HistoryStore(object):
         table, ``telemetry`` (when present) supplies the counters and
         provenance defaults.
         """
-        if not isinstance(export, dict) or not isinstance(export.get("spec"), dict):
-            raise HistoryError(
-                "not a results export (no 'spec' object) — record the JSON "
-                "written by `repro evaluate --json` or ResultSet.to_dict()"
-            )
-        if not isinstance(export.get("samples"), list):
-            raise HistoryError(
-                "not a results export (no 'samples' list) — a spec alone "
-                "records nothing worth diffing"
-            )
-        spec = export["spec"]
-        telemetry = export.get("telemetry") or {}
-        summary = telemetry.get("summary") or {}
-        if engine is None:
-            engines = sorted({
-                job.get("engine", "event") for job in telemetry.get("jobs", ())
-            })
-            engine = ",".join(engines) if engines else None
-        if backend is None:
-            executors = summary.get("executors")
-            backend = ",".join(executors) if executors else None
-        sample_rows = [_sample_row("", sample) for sample in export["samples"]]
-        score_rows = []
-        for cell, tools in sorted((export.get("statistics") or {}).items()):
-            platform, _, profile = cell.partition("/")
-            for tool, stats in sorted(tools.items()):
-                score_rows.append((
-                    platform, profile, tool,
-                    float(stats["mean"]), float(stats.get("stddev", 0.0)),
-                    int(stats.get("n", 1)),
-                ))
+        fields, sample_rows, score_rows = _evaluation_rows(export, engine, backend)
+        fields.update(kind="evaluation", label=label, source=source,
+                      state="completed", recorded_at=time.time(),
+                      git_sha=git_sha)
         with self._lock:
-            run_id = self._fresh_id_locked()
-            self._db.execute(
-                "INSERT INTO runs (run_id, kind, label, source, recorded_at,"
-                " git_sha, spec_hash, engine, backend, noise, simulated,"
-                " cache_hits, wall_seconds, payload_json)"
-                " VALUES (?, 'evaluation', ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    run_id, label, source, time.time(), git_sha,
-                    spec_hash(spec), engine, backend,
-                    float(spec.get("noise", 0.0)),
-                    summary.get("simulated"), summary.get("cache_hits"),
-                    summary.get("total_wall_seconds"),
-                    json.dumps(export, sort_keys=True),
-                ),
-            )
-            self._db.executemany(
-                "INSERT INTO samples (run_id, platform, tool, kind, size,"
-                " params, processors, seed, seconds)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [(run_id,) + row[1:] for row in sample_rows],
-            )
-            self._db.executemany(
-                "INSERT INTO scores (run_id, platform, profile, tool, mean,"
-                " stddev, n) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(run_id,) + row for row in score_rows],
-            )
-            self._db.commit()
+            with self._db:  # one transaction: the row and its cells
+                run_id = self._fresh_id_locked()
+                self._insert_locked(dict(fields, run_id=run_id))
+                self._add_cells_locked(run_id, sample_rows, score_rows)
             self.recorded += 1
         return run_id
 
@@ -296,7 +409,7 @@ class HistoryStore(object):
         source: str = "bench",
         git_sha: Optional[str] = None,
     ) -> str:
-        """Append one ``BENCH_*.json`` benchmark report.
+        """Record one ``BENCH_*.json`` benchmark report.
 
         Metrics flatten to the same dotted paths
         ``scripts/bench_report.py`` compares, so a metric's trajectory
@@ -311,49 +424,191 @@ class HistoryStore(object):
         if label is None:
             label = report.get("benchmark")
         with self._lock:
-            run_id = self._fresh_id_locked()
-            self._db.execute(
-                "INSERT INTO runs (run_id, kind, label, source, recorded_at,"
-                " git_sha, payload_json) VALUES (?, 'bench', ?, ?, ?, ?, ?)",
-                (run_id, label, source, time.time(), git_sha,
-                 json.dumps(report, sort_keys=True)),
-            )
-            self._db.executemany(
-                "INSERT INTO metrics (run_id, path, value) VALUES (?, ?, ?)",
-                [(run_id, path, value) for path, value in sorted(metrics.items())],
-            )
-            self._db.commit()
+            with self._db:
+                run_id = self._fresh_id_locked()
+                self._insert_locked({
+                    "run_id": run_id, "kind": "bench", "label": label,
+                    "source": source, "recorded_at": time.time(),
+                    "state": "completed", "git_sha": git_sha,
+                    "payload_json": json.dumps(report, sort_keys=True),
+                })
+                self._db.executemany(
+                    "INSERT INTO metrics (run_id, path, value) VALUES (?, ?, ?)",
+                    [(run_id, path, value)
+                     for path, value in sorted(metrics.items())],
+                )
             self.recorded += 1
         return run_id
 
-    def _fresh_id_locked(self) -> str:
-        run_id = uuid.uuid4().hex[:12]
-        while self._db.execute(
-            "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)
-        ).fetchone():  # pragma: no cover - astronomically rare
-            run_id = uuid.uuid4().hex[:12]
-        return run_id
-
-    # -- reading -------------------------------------------------------
+    # -- the service's run lifecycle -----------------------------------
 
     @staticmethod
-    def _summary_row(row: sqlite3.Row) -> Dict[str, Any]:
-        return dict(row)
+    def _service_record(row: sqlite3.Row) -> Dict[str, Any]:
+        record = dict(row)
+        record["spec"] = json.loads(record.pop("spec_json"))
+        payload = record.pop("payload_json")
+        record["result"] = json.loads(payload) if payload else None
+        return record
+
+    def _service_row_locked(self, run_id: str, columns: str) -> sqlite3.Row:
+        row = self._db.execute(
+            "SELECT %s FROM runs WHERE run_id = ? AND user IS NOT NULL"
+            % columns, (run_id,),
+        ).fetchone()
+        if row is None:
+            raise ServiceError("unknown run %r" % run_id)
+        return row
+
+    def create(self, run_id: str, user: str, spec_dict: dict) -> Dict[str, Any]:
+        """Insert a fresh ``queued`` service run and return its record."""
+        user = (user or "").strip()
+        if not user:
+            # Last line of defense: a blank identity in the database
+            # would merge misconfigured clients forever.
+            raise ServiceError("user id must not be blank")
+        now = time.time()
+        fields = {
+            "run_id": run_id, "kind": "evaluation", "source": "service",
+            "recorded_at": now, "user": user, "state": "queued",
+            "created_at": now, "spec_hash": spec_hash(spec_dict),
+            "spec_json": json.dumps(spec_dict, sort_keys=True),
+            "noise": float(spec_dict.get("noise", 0.0)),
+        }
+        with self._lock:
+            try:
+                with self._db:
+                    self._insert_locked(fields)
+            except sqlite3.IntegrityError:
+                raise ServiceError("run %r already exists" % run_id)
+            return self._service_record(
+                self._service_row_locked(run_id, _SERVICE_COLUMNS))
+
+    def transition(
+        self,
+        run_id: str,
+        state: str,
+        error: Optional[str] = None,
+        simulated: Optional[int] = None,
+        cache_hits: Optional[int] = None,
+        wall_seconds: Optional[float] = None,
+        result: Optional[dict] = None,
+        git_sha: Optional[str] = None,
+    ) -> None:
+        """Move a service run along the state machine, recording its
+        outcome.
+
+        ``running`` stamps ``started_at``.  Every terminal state stamps
+        ``finished_at`` and carries the run's counters and error
+        message.  ``completed`` needs the results export and writes it
+        with its provenance (``git_sha`` plus what the export says),
+        samples and scores in the same transaction as the state;
+        ``cancelled`` keeps a partial ``result`` as its payload only.
+        Illegal moves raise :class:`~repro.errors.ServiceError` and
+        change nothing.
+        """
+        if state not in RUN_STATES:
+            raise ServiceError(
+                "unknown run state %r; known: %s" % (state, ", ".join(RUN_STATES))
+            )
+        fields: Dict[str, Any] = {}
+        sample_rows: List[Tuple] = []
+        score_rows: List[Tuple] = []
+        if state == "completed":
+            if result is None:
+                raise ServiceError("a completed run needs its results export")
+            fields, sample_rows, score_rows = _evaluation_rows(result)
+            fields["git_sha"] = git_sha
+        elif state == "cancelled" and result is not None:
+            fields["payload_json"] = json.dumps(result, sort_keys=True)
+        now = time.time()
+        fields["state"] = state
+        if state == "running":
+            fields["started_at"] = now
+        else:
+            fields.update(recorded_at=now, finished_at=now, error=error,
+                          simulated=simulated, cache_hits=cache_hits,
+                          wall_seconds=wall_seconds)
+        with self._lock:
+            current = self._service_row_locked(run_id, "state")["state"]
+            if state not in VALID_TRANSITIONS[current]:
+                raise ServiceError(
+                    "invalid transition %s -> %s for run %s"
+                    % (current, state, run_id)
+                )
+            with self._db:  # one transaction: state, payload and cells
+                self._db.execute(
+                    "UPDATE runs SET %s WHERE run_id = ?"
+                    % ", ".join("%s = ?" % name for name in fields),
+                    tuple(fields.values()) + (run_id,),
+                )
+                self._add_cells_locked(run_id, sample_rows, score_rows)
+            if state == "completed":
+                self.recorded += 1
+
+    def recover(self) -> int:
+        """Reconcile orphans after an unclean shutdown; how many moved.
+
+        Rows still ``running`` belonged to a process that died with
+        work in flight — they become ``failed`` (the *measurements*
+        that finished are safe in the scheduler's cache; resubmitting
+        the spec simulates only what never finished).  Rows still
+        ``queued`` never started and become ``cancelled``.  A server
+        calls this once on startup, before accepting traffic — so one
+        database serves one server at a time.
+        """
+        with self._lock:
+            now = time.time()
+            with self._db:
+                running = self._db.execute(
+                    "UPDATE runs SET state = 'failed', finished_at = ?,"
+                    " error = 'orphaned by unclean server shutdown'"
+                    " WHERE state = 'running'", (now,)
+                ).rowcount
+                queued = self._db.execute(
+                    "UPDATE runs SET state = 'cancelled', finished_at = ?,"
+                    " error = 'queued at unclean server shutdown'"
+                    " WHERE state = 'queued'", (now,)
+                ).rowcount
+            return running + queued
+
+    def service_run(self, run_id: str) -> Dict[str, Any]:
+        """The full record of one service run (:class:`ServiceError`
+        if absent): spec, lifecycle, counters and ``result``."""
+        with self._lock:
+            return self._service_record(
+                self._service_row_locked(run_id, _SERVICE_COLUMNS))
+
+    def service_runs(self, user: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Every service run (optionally one user's), newest first,
+        without the potentially large result payloads."""
+        query = ("SELECT run_id, user, spec_hash, state, error, created_at,"
+                 " started_at, finished_at, simulated, cache_hits,"
+                 " wall_seconds FROM runs WHERE user IS NOT NULL")
+        args: Tuple = ()
+        if user is not None:
+            query += " AND user = ?"
+            args = (user,)
+        query += " ORDER BY created_at DESC, run_id DESC"
+        with self._lock:
+            return [dict(row) for row in self._db.execute(query, args)]
+
+
+    # -- reading -------------------------------------------------------
 
     def list_runs(
         self, kind: Optional[str] = None, limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Recorded runs newest-first, without the payload JSON."""
+        """Completed runs newest-first, without the payload JSON."""
         if kind is not None and kind not in RUN_KINDS:
             raise HistoryError(
                 "unknown run kind %r; known: %s" % (kind, ", ".join(RUN_KINDS))
             )
         query = ("SELECT run_id, kind, label, source, recorded_at, git_sha,"
                  " spec_hash, engine, backend, noise, simulated, cache_hits,"
-                 " wall_seconds FROM runs")
+                 " wall_seconds FROM runs WHERE state = 'completed'")
         args: Tuple = ()
         if kind is not None:
-            query += " WHERE kind = ?"
+            query += " AND kind = ?"
             args = (kind,)
         query += " ORDER BY recorded_at DESC, run_id DESC"
         if limit is not None:
@@ -361,10 +616,11 @@ class HistoryStore(object):
             args = args + (int(limit),)
         with self._lock:
             self.reads += 1
-            return [self._summary_row(row) for row in self._db.execute(query, args)]
+            return [dict(row) for row in self._db.execute(query, args)]
 
     def get(self, run_id: str) -> Dict[str, Any]:
-        """One run's full record, payload parsed back to a dict."""
+        """One run's full record, payload parsed back to a dict (``None``
+        while a service run has not finished)."""
         with self._lock:
             self.reads += 1
             row = self._db.execute(
@@ -373,15 +629,17 @@ class HistoryStore(object):
         if row is None:
             raise HistoryError("unknown run %r" % run_id)
         record = dict(row)
-        record["payload"] = json.loads(record.pop("payload_json"))
+        del record["spec_json"]  # the payload carries the spec
+        payload = record.pop("payload_json")
+        record["payload"] = json.loads(payload) if payload else None
         return record
 
     def resolve(self, ref: str, kind: Optional[str] = None) -> str:
-        """A run reference -> run id.
+        """A run reference -> the id of a completed run.
 
         Accepts an exact id, a unique id prefix, or the relative forms
-        ``latest`` / ``latest~N`` (the N-th most recent run, optionally
-        restricted to one ``kind``).  Ambiguity and misses raise
+        ``latest`` / ``latest~N`` (the N-th most recent completed run,
+        optionally restricted to one ``kind``).  Ambiguity and misses raise
         :class:`~repro.errors.HistoryError` naming the candidates.
         """
         ref = ref.strip()
@@ -404,8 +662,9 @@ class HistoryStore(object):
         with self._lock:
             self.reads += 1
             rows = self._db.execute(
-                "SELECT run_id FROM runs WHERE run_id = ? OR run_id LIKE ?"
-                " ORDER BY run_id", (ref, ref + "%"),
+                "SELECT run_id FROM runs WHERE state = 'completed'"
+                " AND (run_id = ? OR run_id LIKE ?) ORDER BY run_id",
+                (ref, ref + "%"),
             ).fetchall()
         ids = [row["run_id"] for row in rows]
         if ref in ids:

@@ -5,12 +5,12 @@ The :mod:`repro.service` package turns the PR-5 streaming substrate
 :class:`~repro.core.executors.Executor` protocol) into a long-running,
 multi-user HTTP service:
 
-* :mod:`repro.service.store` — SQLite (WAL) run history with an
-  enforced ``queued -> running -> completed/cancelled/failed`` state
-  machine; a restarted server lists every historical run.
 * :mod:`repro.service.registry` — per-user concurrency limits, FIFO
   queueing, cooperative cancel and graceful shutdown, with every
-  lifecycle edge persisted.
+  lifecycle edge persisted through the run-history store
+  (:class:`~repro.history.store.HistoryStore`, whose enforced
+  ``queued -> running -> completed/cancelled/failed`` state machine
+  lets a restarted server list every historical run).
 * :mod:`repro.service.server` — the stdlib threaded HTTP front
   (one thread per connection): ``POST /api/runs`` -> ``{run_id}``, run
   listing/inspection, cancel, and a Server-Sent Events stream per run
@@ -33,8 +33,6 @@ _EXPORTS = {
     "DEFAULT_USER": "repro.service.registry",
     "JobRegistry": "repro.service.registry",
     "ServiceServer": "repro.service.server",
-    "RunStore": "repro.service.store",
-    "spec_hash": "repro.service.store",
 }
 
 __all__ = sorted(_EXPORTS)

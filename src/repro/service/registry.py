@@ -16,9 +16,11 @@ glues three things together:
   which is what makes resubmitting an interrupted spec simulate only
   never-finished jobs.
 * **Persistence** — every lifecycle edge is written through the
-  :class:`~repro.service.store.RunStore` state machine, with final
+  :class:`~repro.history.store.HistoryStore` state machine, with final
   counters and the exported results (partial samples for cancelled
-  runs, so a cancel never discards finished measurements).
+  runs, so a cancel never discards finished measurements).  A
+  completed run is one row of the run history, written in one
+  transaction.
 
 A watcher thread per run observes completion; the registry itself
 never blocks a caller.  :meth:`events` is the blocking iterator each
@@ -42,7 +44,7 @@ from repro.core.progress import Progress, RunCompleted, RunEvent
 from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import RunCancelled, ServiceError
-from repro.service.store import RunStore, TERMINAL_STATES
+from repro.history.store import TERMINAL_STATES, HistoryStore, current_git_sha
 
 __all__ = ["DEFAULT_USER", "normalize_user", "JobRegistry", "progress_to_dict"]
 
@@ -109,8 +111,9 @@ class JobRegistry(object):
     Parameters
     ----------
     store:
-        The :class:`~repro.service.store.RunStore` every lifecycle
-        edge is written through.
+        The :class:`~repro.history.store.HistoryStore` every lifecycle
+        edge is written through; the server's ``/api/history`` views
+        read it too.
     scheduler_factory:
         Zero-argument callable yielding a fresh
         :class:`~repro.core.scheduler.Scheduler` per admitted run.
@@ -121,27 +124,23 @@ class JobRegistry(object):
     per_user_limit:
         Concurrently *running* evaluations per user (>= 1); further
         submissions queue FIFO.
-    history:
-        Optional :class:`~repro.history.HistoryStore`.  Every run that
-        *completes* (not cancelled, not failed — partial grids would
-        poison cross-run diffs) is appended to it from the watcher
-        thread, and the server exposes it under ``GET
-        /api/history/...``.  Recording is best-effort: a history
-        failure is reported on stderr but never fails the run itself.
+
+    Completed runs record the git SHA of the working directory's
+    checkout, resolved once here: the code the server started with,
+    not whatever HEAD reads when a run ends.
     """
 
     def __init__(
         self,
-        store: RunStore,
+        store: HistoryStore,
         scheduler_factory: Optional[Callable[[], Scheduler]] = None,
         per_user_limit: int = 2,
-        history=None,
     ) -> None:
         if per_user_limit < 1:
             raise ServiceError("per_user_limit must be >= 1")
         self.store = store
-        self.history = history
         self.per_user_limit = per_user_limit
+        self._git_sha = current_git_sha()
         if scheduler_factory is None:
             shared = ResultCache()
             scheduler_factory = lambda: Scheduler(cache=shared)  # noqa: E731
@@ -217,7 +216,6 @@ class JobRegistry(object):
             result = handle.result()
             state = "completed"
             result_export = result.to_dict()
-            self._record_history(managed, result_export)
         except RunCancelled:
             state = "cancelled"
             result_export = self._partial_export(handle)
@@ -229,6 +227,7 @@ class JobRegistry(object):
                 managed.run_id, state, error=error,
                 simulated=progress.simulated, cache_hits=progress.cache_hits,
                 wall_seconds=progress.elapsed_seconds, result=result_export,
+                git_sha=self._git_sha,
             )
         finally:
             if managed.scheduler is not None:
@@ -238,29 +237,6 @@ class JobRegistry(object):
                 managed.done.set()
                 self._active.get(managed.user, set()).discard(managed.run_id)
                 self._admit_next_locked(managed.user)
-
-    def _record_history(self, managed: _ManagedRun, result_export: dict) -> None:
-        """Append a completed run to the history store (best-effort).
-
-        Runs on the watcher thread; the HistoryStore serializes its
-        own access, so any number of concurrent watchers may append.
-        A history failure must never turn a completed evaluation into
-        a failed one — it is reported and swallowed.
-        """
-        if self.history is None:
-            return
-        try:
-            from repro.history.store import current_git_sha
-
-            self.history.record_result(
-                result_export, label=managed.run_id, source="service",
-                git_sha=current_git_sha(),
-            )
-        except Exception as error:  # noqa: BLE001 - reported, not raised
-            import sys
-
-            print("history: failed to record run %s (%s)"
-                  % (managed.run_id, error), file=sys.stderr)
 
     @staticmethod
     def _partial_export(handle) -> dict:
@@ -293,7 +269,7 @@ class JobRegistry(object):
     def status(self, run_id: str) -> dict:
         """The stored record, augmented with a live progress snapshot
         (and the registry's in-flight state) while the run is resident."""
-        record = self.store.get(run_id)
+        record = self.store.service_run(run_id)
         with self._lock:
             managed = self._runs.get(run_id)
         if managed is not None and managed.handle is not None and not managed.done.is_set():
@@ -305,7 +281,7 @@ class JobRegistry(object):
         # filter" (a query parameter, not a billed identity).
         if user is not None:
             user = user.strip() or None
-        return self.store.list_runs(user)
+        return self.store.service_runs(user)
 
     # -- cancellation --------------------------------------------------
 
@@ -321,7 +297,7 @@ class JobRegistry(object):
         with self._lock:
             managed = self._runs.get(run_id)
             if managed is None:
-                record = self.store.get(run_id)  # raises for unknown ids
+                record = self.store.service_run(run_id)  # raises for unknown ids
                 if record["state"] not in TERMINAL_STATES:  # pragma: no cover
                     raise ServiceError(
                         "run %s is %s but not resident in this server"
@@ -330,13 +306,13 @@ class JobRegistry(object):
                 return record
             if managed.state == "queued":
                 self._cancel_queued_locked(managed)
-                return self.store.get(run_id)
+                return self.store.service_run(run_id)
             if managed.state == "running":
                 managed.handle.cancel()
-                record = self.store.get(run_id)
+                record = self.store.service_run(run_id)
                 record["cancel_requested"] = True
                 return record
-        return self.store.get(run_id)
+        return self.store.service_run(run_id)
 
     def _cancel_queued_locked(self, managed: _ManagedRun) -> None:
         queue = self._queues.get(managed.user)
@@ -368,12 +344,12 @@ class JobRegistry(object):
         with self._lock:
             managed = self._runs.get(run_id)
         if managed is None:
-            yield self._synthesized_completion(self.store.get(run_id))
+            yield self._synthesized_completion(self.store.service_run(run_id))
             return
         managed.started.wait()
         if managed.handle is None:
             # Cancelled (or shut down) while queued: never had events.
-            yield self._synthesized_completion(self.store.get(run_id))
+            yield self._synthesized_completion(self.store.service_run(run_id))
             return
         for event in managed.handle.events():
             if isinstance(event, RunCompleted):

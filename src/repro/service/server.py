@@ -16,10 +16,10 @@ The API::
     POST /api/runs/{id}/cancel    cooperative cancel (queued or running)
     GET  /api/runs/{id}/events    Server-Sent Events: replay, then live
 
-With a history database attached (``repro serve --history-db``) the
-regression-intelligence views are readable too (404 otherwise)::
+The runs live in the run-history store, so the regression-intelligence
+views over its completed runs are readable too::
 
-    GET  /api/history/runs            recorded runs; ?kind=&limit= filter
+    GET  /api/history/runs            completed runs; ?kind=&limit= filter
     GET  /api/history/runs/{ref}      one run (id, unique prefix, latest~N)
     GET  /api/history/diff            ?baseline=REF&current=REF cell diff
     GET  /api/history/leaderboard     ?window=&platform=&profile= rankings
@@ -57,7 +57,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro._version import __version__
 from repro.core.progress import event_to_dict
-from repro.errors import EvaluationError, ServiceError
+from repro.errors import EvaluationError, HistoryError, ServiceError
 from repro.service.registry import JobRegistry
 
 __all__ = ["ServiceServer"]
@@ -249,18 +249,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._stream_events(run_id)
 
     def _route_history(self, path: str, query: dict) -> None:
-        """The read-only regression-intelligence views.
-
-        All of them 404 when the server was started without
-        ``--history-db`` — absent history is a missing resource, not a
-        client mistake.
-        """
-        history = self.server.registry.history
-        if history is None:
-            raise _HttpError(
-                404, "history is not enabled (start with --history-db)"
-            )
-        from repro.errors import HistoryError
+        """The read-only regression-intelligence views over the
+        registry's store."""
+        history = self.server.registry.store
 
         def param(name: str) -> Optional[str]:
             return (query.get(name) or [None])[0]

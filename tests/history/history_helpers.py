@@ -14,6 +14,18 @@ TINY = dict(
     app_params={"montecarlo": {"samples": 5_000}},
 )
 
+#: The service's run table before it moved into the history store.
+OLD_SERVICE_SCHEMA = """
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY, user TEXT NOT NULL, spec_json TEXT NOT NULL,
+    spec_hash TEXT NOT NULL, state TEXT NOT NULL, error TEXT,
+    created_at REAL NOT NULL, started_at REAL, finished_at REAL,
+    simulated INTEGER, cache_hits INTEGER, wall_seconds REAL,
+    result_json TEXT
+);
+CREATE INDEX runs_by_user ON runs (user, created_at);
+"""
+
 
 def tiny_spec(**overrides):
     """A seconds-scale spec: one tool -> 5 jobs per seed."""

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.history import HistoryStore
 
-from history_helpers import TINY, scaled
+from history_helpers import OLD_SERVICE_SCHEMA, TINY, scaled
 
 
 def run_evaluate(db, capsys, label=None):
@@ -177,3 +177,20 @@ class TestSchemaGuardThroughCli:
         db.close()
         assert main(["history", "list", "--db", path]) == 2
         assert "schema v99" in capsys.readouterr().out
+
+    def test_unstamped_database_is_refused_by_history_and_serve(
+        self, tmp_path, capsys
+    ):
+        import sqlite3
+
+        path = str(tmp_path / "repro-service.db")
+        db = sqlite3.connect(path)
+        db.executescript(OLD_SERVICE_SCHEMA)
+        db.commit()
+        db.close()
+        assert main(["history", "list", "--db", path]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and "repro-service.db holds tables" in out
+        assert main(["serve", "--port", "0", "--db", path]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and "repro-service.db holds tables" in out

@@ -8,10 +8,9 @@ import pytest
 
 from repro.errors import HistoryError
 from repro.history import SCHEMA_VERSION, HistoryStore
-from repro.history.store import flatten_metrics
-from repro.service.store import spec_hash
+from repro.history.store import flatten_metrics, spec_hash
 
-from history_helpers import scaled
+from history_helpers import OLD_SERVICE_SCHEMA, scaled
 
 
 class TestRecordResult:
@@ -182,8 +181,41 @@ class TestMigrationGuard:
         db.execute("PRAGMA user_version=%d" % (SCHEMA_VERSION + 98))
         db.commit()
         db.close()
-        with pytest.raises(HistoryError, match="schema v99"):
+        with pytest.raises(HistoryError, match="schema v%d" % (SCHEMA_VERSION + 98)):
             HistoryStore(path)
+
+    def test_refuses_a_v1_database(self, tmp_path):
+        path = str(tmp_path / "v1.db")
+        db = sqlite3.connect(path)
+        db.execute("CREATE TABLE runs (run_id TEXT PRIMARY KEY,"
+                   " payload_json TEXT NOT NULL)")
+        db.execute("PRAGMA user_version=1")
+        db.commit()
+        db.close()
+        with pytest.raises(HistoryError, match="schema v1; this build reads v2"):
+            HistoryStore(path)
+
+    def test_refuses_an_unstamped_database_it_did_not_create(self, tmp_path):
+        # The table the service kept its runs in before it moved into
+        # this store: user_version 0, a runs table of another shape.
+        path = str(tmp_path / "repro-service.db")
+        db = sqlite3.connect(path)
+        db.executescript(OLD_SERVICE_SCHEMA)
+        db.commit()
+        db.close()
+        with pytest.raises(HistoryError, match="repro-service.db holds tables"):
+            HistoryStore(path)
+        db = sqlite3.connect(path)
+        try:  # refused, not rewritten
+            assert db.execute("PRAGMA user_version").fetchone()[0] == 0
+        finally:
+            db.close()
+
+    def test_refuses_a_file_that_is_not_sqlite(self, tmp_path):
+        path = tmp_path / "notes.db"
+        path.write_text("not a database, just a text file\n" * 200)
+        with pytest.raises(HistoryError, match="cannot open .*notes.db"):
+            HistoryStore(str(path))
 
     def test_reopening_same_generation_is_fine(self, tmp_path, export):
         path = str(tmp_path / "stable.db")

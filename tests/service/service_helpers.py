@@ -14,10 +14,12 @@ Two executor stand-ins make concurrency deterministic:
 threaded HTTP server) against a temporary database, exactly like
 ``repro serve`` but in-process; ``graceful=False`` teardown leaves the
 store rows as an unclean kill would, for the restart/resume tests.
-``store_class`` swaps in a :class:`RunStore` subclass (a deliberately
+``store_class`` swaps in a :class:`HistoryStore` subclass (a deliberately
 slow one pins the persist-then-announce contract).
 """
 
+import http.client
+import json
 import threading
 import time
 
@@ -26,7 +28,7 @@ from repro.core.spec import EvaluationSpec
 from repro.service.client import ServiceClient
 from repro.service.registry import JobRegistry
 from repro.service.server import ServiceServer
-from repro.service.store import TERMINAL_STATES, RunStore
+from repro.history.store import TERMINAL_STATES, HistoryStore
 
 _TINY = dict(
     tpl_sizes=(1024,),
@@ -58,6 +60,16 @@ class GateExecutor(Executor):
             yield JobOutcome(1.0, 0.001, 1)
 
 
+class FailingExecutor(GateExecutor):
+    """Fails the run at its first job."""
+
+    name = "failing"
+
+    def submit(self, jobs, retries=1):
+        raise RuntimeError("simulated executor crash")
+        yield  # pragma: no cover - makes this a generator
+
+
 class StepExecutor(Executor):
     """Executes one (real) job per released permit.
 
@@ -77,7 +89,7 @@ class StepExecutor(Executor):
             yield execute_job_instrumented(job, retries)
 
 
-class SlowTerminalStore(RunStore):
+class SlowTerminalStore(HistoryStore):
     """Commits every terminal transition only after a pause: it widens
     the window in which a run has ended but its outcome is not yet
     persisted, which is where an early announcement would show."""
@@ -90,6 +102,22 @@ class SlowTerminalStore(RunStore):
         return super().transition(run_id, state, **fields)
 
 
+def raw_request(port, method, path, body=None, headers=None):
+    """Bypass ServiceClient for malformed-request tests; (status, dict)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path, body=body, headers=headers or {})
+        response = connection.getresponse()
+        payload = response.read().decode("utf-8")
+        try:
+            data = json.loads(payload)
+        except ValueError:
+            data = {"raw": payload}
+        return response.status, data
+    finally:
+        connection.close()
+
+
 def cancel_requested(registry, run_id):
     """The running handle's cancel request, an Event a test can wait
     on to order "shutdown cancelled the run" before releasing a gate."""
@@ -100,7 +128,7 @@ class ServiceHarness(object):
     """Store + registry + HTTP server on its background thread."""
 
     def __init__(self, db_path, scheduler_factory=None, per_user_limit=2,
-                 store_class=RunStore):
+                 store_class=HistoryStore):
         self.store = store_class(str(db_path))
         self.recovered = self.store.recover()
         self.registry = JobRegistry(

@@ -18,9 +18,10 @@ from repro.core.progress import JobFinished, JobStarted, RunCompleted
 from repro.core.scheduler import Scheduler
 from repro.errors import EvaluationError, ServiceError
 from repro.service.registry import DEFAULT_USER, JobRegistry, normalize_user
-from repro.service.store import RunStore
+from repro.history import HistoryStore
 
 from service_helpers import (
+    FailingExecutor,
     GateExecutor,
     SlowTerminalStore,
     StepExecutor,
@@ -31,7 +32,7 @@ from service_helpers import (
 
 @pytest.fixture
 def store(tmp_path):
-    with RunStore(str(tmp_path / "registry.db")) as s:
+    with HistoryStore(str(tmp_path / "registry.db")) as s:
         yield s
 
 
@@ -78,7 +79,7 @@ class TestSubmitAndComplete:
             with pytest.raises(EvaluationError):
                 registry.submit("alice", {"tools": ["no-such-tool"]})
         # the malformed submission never reached the store
-        assert len(store.list_runs()) == 1
+        assert len(store.service_runs()) == 1
 
     def test_user_identity_is_normalized(self, store):
         assert normalize_user(None) == DEFAULT_USER
@@ -94,7 +95,7 @@ class TestSubmitAndComplete:
                 registry.submit("   ", tiny_spec())
             # the trailing-space listing filter finds the same runs
             assert registry.list_runs(" alice ") == registry.list_runs("alice")
-        assert len(store.list_runs()) == 1  # the blank one never landed
+        assert len(store.service_runs()) == 1  # the blank one never landed
 
     def test_unknown_run_everywhere(self, store):
         with JobRegistry(store) as registry:
@@ -104,6 +105,28 @@ class TestSubmitAndComplete:
                 registry.cancel("feedface0000")
             with pytest.raises(ServiceError, match="unknown run"):
                 list(registry.events("feedface0000"))
+
+
+class TestProvenance:
+    def test_git_sha_is_resolved_once_per_registry(self, store, monkeypatch):
+        import subprocess
+
+        calls = []
+        run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        spec = tiny_spec()
+        with JobRegistry(store) as registry:
+            run_ids = [registry.submit("alice", spec)["run_id"] for _ in range(3)]
+            for run_id in run_ids:
+                assert wait_terminal(registry, run_id)["state"] == "completed"
+        assert len(calls) <= 1
+        shas = {store.get(run_id)["git_sha"] for run_id in run_ids}
+        assert len(shas) == 1
 
 
 class TestAdmissionControl:
@@ -216,16 +239,6 @@ class TestCancelRunning:
         assert events[-1].cancelled
 
 
-class FailingExecutor(GateExecutor):
-    """Fails the run at its first job."""
-
-    name = "failing"
-
-    def submit(self, jobs, retries=1):
-        raise RuntimeError("simulated executor crash")
-        yield  # pragma: no cover - makes this a generator
-
-
 class TestPersistThenAnnounce:
     """The end of a run's stream is announced only once its outcome is
     stored: a slow terminal commit must not be observable."""
@@ -269,9 +282,9 @@ class TestShutdownAndRestart:
         gate.release.set()  # then let the in-flight job drain
         stopper.join(30)
         assert not stopper.is_alive()
-        assert store.get(a["run_id"])["state"] == "cancelled"
-        assert store.get(b["run_id"])["state"] == "cancelled"
-        assert store.get(b["run_id"])["error"] == "cancelled while queued"
+        assert store.service_run(a["run_id"])["state"] == "cancelled"
+        assert store.service_run(b["run_id"])["state"] == "cancelled"
+        assert store.service_run(b["run_id"])["error"] == "cancelled while queued"
         with pytest.raises(ServiceError, match="shutting down"):
             registry.submit("alice", tiny_spec())
 

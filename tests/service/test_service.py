@@ -38,24 +38,9 @@ from service_helpers import (
     SlowTerminalStore,
     StepExecutor,
     cancel_requested,
+    raw_request,
     tiny_spec,
 )
-
-
-def raw_request(port, method, path, body=None, headers=None):
-    """Bypass ServiceClient for malformed-request tests; (status, dict)."""
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        connection.request(method, path, body=body, headers=headers or {})
-        response = connection.getresponse()
-        payload = response.read().decode("utf-8")
-        try:
-            data = json.loads(payload)
-        except ValueError:
-            data = {"raw": payload}
-        return response.status, data
-    finally:
-        connection.close()
 
 
 class TestHealthAndErrors:
@@ -417,9 +402,9 @@ class TestGracefulShutdown:
         assert not stopper.is_alive()
 
         # stop() closed the store; reopen the file to inspect history
-        from repro.service.store import RunStore
+        from repro.history import HistoryStore
 
-        with RunStore(str(harness.store.path)) as reopened:
-            assert reopened.get(running)["state"] == "cancelled"
-            assert reopened.get(queued)["state"] == "cancelled"
-            assert reopened.get(queued)["error"] == "cancelled while queued"
+        with HistoryStore(str(harness.store.path)) as reopened:
+            assert reopened.service_run(running)["state"] == "cancelled"
+            assert reopened.service_run(queued)["state"] == "cancelled"
+            assert reopened.service_run(queued)["error"] == "cancelled while queued"
