@@ -1,13 +1,13 @@
 """Bench remote: the price of the on-disk job queue.
 
 The remote backend trades function calls for filesystem rendezvous —
-every job becomes an enqueue, an ``os.replace`` claim, an outcome
-write and a coordinator pickup.  That tax must stay small change next
-to simulation time:
+every ticket (a chunk of jobs) becomes an enqueue, an ``os.replace``
+claim, an outcome write and a coordinator pickup.  That tax must stay
+small change next to simulation time:
 
 * the queue assertion — a full ticket round trip (enqueue -> claim ->
-  complete -> take_outcome) prices under ``MAX_ROUNDTRIP_SECONDS``
-  per job, and
+  complete -> take_outcome) of a one-job ticket prices under
+  ``MAX_ROUNDTRIP_SECONDS``, and
 * the sweep assertion — a cold sweep through ``RemoteExecutor`` + an
   in-process two-worker fleet finishes within
   ``MAX_REMOTE_OVERHEAD`` x the serial wall time (the fleet runs in
@@ -72,11 +72,13 @@ def measure_queue_roundtrip(tickets=ROUNDTRIP_TICKETS):
         start = time.perf_counter()
         for index in range(tickets):
             ticket = "t-%06d" % index
-            queue.enqueue(ticket, job)
+            queue.enqueue(ticket, [job])
             claim = queue.claim("bench-worker")
-            queue.complete(claim, {"ticket": claim.ticket, "value": 1.0,
-                                   "wall_seconds": 0.0, "attempts": 1,
-                                   "cache_hit": False, "error": None})
+            queue.complete(claim, {"ticket": claim.ticket, "worker": "bench-worker",
+                                   "wall_seconds": 0.0, "error": None,
+                                   "outcomes": [{"value": 1.0, "wall_seconds": 0.0,
+                                                 "attempts": 1, "cache_hit": False,
+                                                 "error": None}]})
             assert queue.take_outcome(ticket) is not None
         elapsed = time.perf_counter() - start
         return {

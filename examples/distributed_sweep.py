@@ -3,10 +3,10 @@ fleet, surviving a SIGKILLed worker mid-run.
 
 ``repro evaluate --backend remote --queue DIR`` (or a
 ``RemoteExecutor`` in code, as here) does no simulation itself: it
-publishes each ``MeasurementJob`` as a ticket in an on-disk queue and
-streams outcomes back as ``repro worker`` processes claim, execute and
-complete them through the shared content-addressed cache.  The demo
-walks the whole story:
+publishes chunks of ``MeasurementJob``s as tickets in an on-disk
+queue and streams outcomes back as ``repro worker`` processes claim,
+execute and complete them through the shared content-addressed cache.
+The demo walks the whole story:
 
 1. create a **sharded cache** first — ``manifest.json`` records the
    shard roster, so every later opener (the workers below pass no
@@ -16,8 +16,9 @@ walks the whole story:
    follow the live event stream,
 4. **SIGKILL one worker mid-run**: its in-flight lease stops
    heartbeating, goes stale, and is reclaimed — the surviving worker
-   re-runs exactly the lost tickets and the sweep still completes
-   with every job accounted for,
+   re-runs the lost ticket, simulating only the jobs the dead worker
+   had not stored, and the sweep still completes with every job
+   accounted for,
 5. re-run the same spec over the same cache directory: zero
    simulations, no fleet needed — the measurements are durable.
 
@@ -73,8 +74,9 @@ def start_worker(name, queue_dir, cache_dir, workspace):
     return process, log_path
 
 
-def worker_tickets(log_path):
-    """The tickets a worker's log claims it completed."""
+def worker_jobs(log_path):
+    """The jobs (``<ticket>/<index>``) a worker's log claims it
+    completed."""
     with open(log_path) as handle:
         return re.findall(r"ticket=(\S+)", handle.read())
 
@@ -138,11 +140,11 @@ def main() -> None:
         workers["worker-2"].send_signal(signal.SIGTERM)
         for name, process in workers.items():
             process.wait(timeout=30)
-        split = {name: worker_tickets(path) for name, path in logs.items()}
-        for name, tickets in sorted(split.items()):
-            print("  %s completed %2d ticket(s)" % (name, len(tickets)))
+        split = {name: worker_jobs(path) for name, path in logs.items()}
+        for name, jobs in sorted(split.items()):
+            print("  %s completed %2d job(s)" % (name, len(jobs)))
         unique = set(split["worker-1"]) | set(split["worker-2"])
-        print("  %d unique tickets across both logs (the killed worker's"
+        print("  %d unique jobs across both logs (the killed worker's"
               " lost claim re-ran on the survivor)" % len(unique))
 
         # -- 5: the measurements outlive the fleet ---------------------

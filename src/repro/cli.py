@@ -187,13 +187,15 @@ distributed execution:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="""\
 worker-pull execution:
-  One claim-execute-publish loop over --queue: tickets are leased via
-  atomic rename (exactly one of N racing workers wins each), a
-  background heartbeat keeps the lease fresh, and results go through
-  the shared --cache-dir (content-addressed, atomic writes) plus a
-  per-ticket outcome file the coordinator consumes.  Workers check
-  the cache before simulating, so a ticket reclaimed from a dead
-  worker whose result already landed costs a lookup, not a re-run.
+  One claim-execute-publish loop over --queue: a ticket is a chunk of
+  jobs, leased via atomic rename (exactly one of N racing workers wins
+  each), a background heartbeat keeps the lease fresh, and results go
+  through the shared --cache-dir (content-addressed, atomic writes,
+  one per job) plus a per-ticket outcome file the coordinator
+  consumes.  Workers check the cache before simulating each job, so a
+  ticket reclaimed from a dead worker re-runs only the jobs whose
+  results had not landed; the rest cost a lookup.  Each job prints
+  one line, "ticket=<ticket>/<index> <status>".
 
   The worker adopts the cache directory's recorded shard roster
   (manifest.json); pass --shards only to pin it explicitly — a
@@ -202,8 +204,8 @@ worker-pull execution:
   SIGTERM/Ctrl-C stop gracefully: the ticket in flight finishes and
   persists, then the loop exits and prints its counters.  --idle-exit
   N makes a batch worker drain the queue and leave once it has been
-  empty for N seconds; --max-jobs bounds how many tickets one worker
-  processes.
+  empty for N seconds; --max-jobs N stops a worker after the ticket
+  that brings its processed jobs to N (a ticket is never split).
 
   example (two workers draining one coordinator's sweep):
     repro worker --queue /nfs/q --cache-dir /nfs/cache --idle-exit 30 &
@@ -233,7 +235,8 @@ worker-pull execution:
                              "process may reclaim this worker's tickets "
                              "(default 30)")
     worker.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                        help="exit after processing N tickets")
+                        help="exit after the ticket that brings this "
+                             "worker's processed jobs to N")
     worker.add_argument("--idle-exit", type=float, default=None,
                         metavar="SECONDS",
                         help="exit once the queue stayed empty this long "
@@ -870,18 +873,19 @@ def _cmd_worker(args) -> int:
         queue = JobQueue(args.queue, lease_timeout=args.lease_timeout)
         cache = ResultCache.on_disk(args.cache_dir, shards=args.shards)
 
-        def narrate(claim, outcome) -> None:
-            # One machine-parseable line per ticket: the CI smoke job
-            # greps these to prove the fleet split work disjointly.
-            if outcome["error"]:
-                status = "failed type=%s" % outcome["error"]["type"]
-            elif outcome["cache_hit"]:
+        def narrate(claim, index, record) -> None:
+            # One machine-parseable line per job, named <ticket>/<index
+            # in the chunk>: the CI smoke job greps these to prove the
+            # fleet split work disjointly.
+            if record["error"]:
+                status = "failed type=%s" % record["error"]["type"]
+            elif record["cache_hit"]:
                 status = "cache-hit"
             else:
                 status = "simulated"
-            print("[%s] ticket=%s %s wall=%.3fs"
-                  % (worker.worker_id, claim.ticket, status,
-                     outcome["wall_seconds"]), flush=True)
+            print("[%s] ticket=%s/%d %s wall=%.3fs"
+                  % (worker.worker_id, claim.ticket, index, status,
+                     record["wall_seconds"]), flush=True)
 
         worker = Worker(
             queue, cache,

@@ -15,11 +15,15 @@ implement it:
 
 * :class:`SerialExecutor` — in-process, one job at a time (default).
 * :class:`ProcessPoolExecutor` — ``concurrent.futures`` worker
-  processes, jobs chunked through a sliding window over a persistent,
-  lazily-created pool.
+  processes over a persistent, lazily-created pool.
 * ``RemoteExecutor`` (in :mod:`repro.distributed`) — publishes jobs
   to an on-disk queue that ``repro worker`` processes pull from,
   sharing results through the sharded disk cache.
+
+The two pool backends share one :class:`ChunkedExecutor` window: jobs
+travel in chunks, a fixed number of chunks per worker stays in flight,
+and they differ only in how a chunk is dispatched, collected and
+withdrawn.
 
 All three pass the protocol-conformance suite in
 ``tests/core/test_executor_protocol.py``.
@@ -32,7 +36,18 @@ import itertools
 import os
 import time
 from collections import deque
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.jobs import MeasurementJob, execute_job
 from repro.errors import EvaluationError
@@ -43,6 +58,7 @@ __all__ = [
     "execute_job_chunk",
     "Executor",
     "SerialExecutor",
+    "ChunkedExecutor",
     "ProcessPoolExecutor",
     "EXECUTOR_BACKENDS",
     "resolve_workers",
@@ -80,10 +96,24 @@ def execute_job_instrumented(job: MeasurementJob, retries: int = 1) -> JobOutcom
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def execute_job_chunk(jobs: Sequence[MeasurementJob], retries: int = 1) -> List[JobOutcome]:
-    """Run a chunk of jobs in one worker round-trip (module-level so it
-    pickles into :mod:`concurrent.futures` worker processes)."""
-    return [execute_job_instrumented(job, retries) for job in jobs]
+#: What collecting one chunk yields: the outcomes of the jobs that
+#: finished, in job order, and the error that stopped the chunk at the
+#: next job (None when every job finished).
+ChunkResult = Tuple[List[JobOutcome], Optional[BaseException]]
+
+
+def execute_job_chunk(jobs: Sequence[MeasurementJob], retries: int = 1) -> ChunkResult:
+    """Run a chunk of jobs in one worker round-trip, stopping at the
+    first failure.  The failure is returned, not raised, so the jobs
+    before it still reach the caller (module-level so it pickles into
+    :mod:`concurrent.futures` worker processes)."""
+    outcomes: List[JobOutcome] = []
+    for job in jobs:
+        try:
+            outcomes.append(execute_job_instrumented(job, retries))
+        except Exception as error:
+            return outcomes, error
+    return outcomes, None
 
 
 class Executor(object):
@@ -136,7 +166,73 @@ class SerialExecutor(Executor):
             yield execute_job_instrumented(job, retries)
 
 
-class ProcessPoolExecutor(Executor):
+class ChunkedExecutor(Executor):
+    """A backend that ships jobs in chunks through a sliding window.
+
+    The one chunk/window policy of the pool backends: each dispatch
+    carries :attr:`chunk_jobs` jobs, and ``max_workers *
+    window_factor`` chunks stay in flight.  Subclasses supply how a
+    chunk is dispatched, collected and withdrawn to :meth:`_windowed`.
+    """
+
+    #: Jobs shipped per dispatch: amortizes the per-round-trip cost
+    #: (IPC, a queue ticket) without delaying result streaming much.
+    chunk_jobs = 4
+
+    #: Chunks kept in flight per worker: deep enough that no worker
+    #: idles while results stream back, shallow enough that a huge
+    #: grid never materializes on this side.
+    window_factor = 4
+
+    def _windowed(
+        self,
+        jobs: Iterable[MeasurementJob],
+        dispatch: Callable[[List[MeasurementJob]], Any],
+        collect: Callable[[Any], ChunkResult],
+        withdraw: Callable[[Any], None],
+    ) -> Iterator[JobOutcome]:
+        """Stream outcomes in job order while later chunks execute.
+
+        ``dispatch(chunk)`` starts a chunk and returns its handle,
+        ``collect(handle)`` waits for its :data:`ChunkResult` and
+        ``withdraw(handle)`` drops a chunk nobody will collect.  There
+        is no barrier: as the oldest chunk's outcomes are yielded,
+        fresh chunks are consumed from the (possibly lazy) iterable,
+        so the scheduler persists finished work while later jobs are
+        still running.  A chunk that failed at job *k* yields jobs
+        0..*k*-1 before its error is raised.
+        """
+        jobs = iter(jobs)
+        in_flight: deque = deque()
+        window = self.max_workers * self.window_factor
+        try:
+            while True:
+                while len(in_flight) < window:
+                    chunk = list(itertools.islice(jobs, self.chunk_jobs))
+                    if not chunk:
+                        break
+                    in_flight.append(dispatch(chunk))
+                if not in_flight:
+                    return
+                # Collect before popping: a chunk whose collection is
+                # interrupted (a timeout, ctrl-C) is withdrawn below.
+                outcomes, error = collect(in_flight[0])
+                in_flight.popleft()
+                yield from outcomes
+                if error is not None:
+                    raise error
+        finally:
+            # The consumer may abandon the generator early — an
+            # exception mid-sweep, itertools.islice, ctrl-C, a
+            # RunHandle cancel.  Without this, every chunk still in
+            # the window keeps running (and new consumers queue
+            # behind it).  Withdraw whatever has not started; chunks
+            # already executing run to completion and persist.
+            for handle in in_flight:
+                withdraw(handle)
+
+
+class ProcessPoolExecutor(ChunkedExecutor):
     """Fan jobs out over ``max_workers`` worker processes.
 
     Jobs and samples are plain picklable values, so this is a thin
@@ -158,15 +254,6 @@ class ProcessPoolExecutor(Executor):
     """
 
     name = "process-pool"
-
-    #: Jobs shipped per worker round-trip (IPC amortization without
-    #: delaying result streaming much).
-    chunk_jobs = 4
-
-    #: Chunks kept in flight per worker: deep enough that no worker
-    #: idles while results stream back, shallow enough that a huge
-    #: grid never materializes on this side.
-    window_factor = 4
 
     def __init__(self, max_workers: int = 2) -> None:
         if max_workers < 1:
@@ -190,43 +277,24 @@ class ProcessPoolExecutor(Executor):
     def submit(
         self, jobs: Iterable[MeasurementJob], retries: int = 1
     ) -> Iterator[JobOutcome]:
-        # Streams results in job order while the pool keeps working:
-        # chunks of jobs are submitted through a sliding window (no
-        # barrier — as each oldest chunk's results are yielded, fresh
-        # chunks are consumed from the (possibly lazy) iterable), so
-        # the scheduler persists finished work while later jobs are
-        # still simulating and a huge grid never materializes here.
-        jobs = iter(jobs)
-        in_flight: deque = deque()
-        window = self.max_workers * self.window_factor
+        def dispatch(chunk: List[MeasurementJob]) -> concurrent.futures.Future:
+            return self._ensure_pool().submit(execute_job_chunk, chunk, retries)
+
         try:
-            while True:
-                while len(in_flight) < window:
-                    chunk = list(itertools.islice(jobs, self.chunk_jobs))
-                    if not chunk:
-                        break
-                    in_flight.append(
-                        self._ensure_pool().submit(execute_job_chunk, chunk, retries)
-                    )
-                if not in_flight:
-                    return
-                for outcome in in_flight.popleft().result():
-                    yield outcome
+            yield from self._windowed(
+                jobs,
+                dispatch,
+                concurrent.futures.Future.result,
+                # Cancels only a chunk that has not started; one
+                # already executing runs to completion, which is as
+                # good as process pools offer.
+                concurrent.futures.Future.cancel,
+            )
         except concurrent.futures.BrokenExecutor:
             # A dead worker poisons the whole pool: drop it so the
             # next pass starts fresh instead of failing forever.
             self.close()
             raise
-        finally:
-            # The consumer may abandon the generator early — an
-            # exception mid-sweep, itertools.islice, ctrl-C, a
-            # RunHandle cancel.  Without this, every chunk still in
-            # the window keeps simulating in the pool (and new
-            # consumers queue behind it).  Cancel whatever has not
-            # started; chunks already executing run to completion,
-            # which is as good as process pools offer.
-            for future in in_flight:
-                future.cancel()
 
 
 #: Backend names :func:`create_executor` understands.

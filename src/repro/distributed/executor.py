@@ -1,41 +1,42 @@
 """RemoteExecutor: the coordinator side as a standard Executor.
 
-``submit(jobs, retries) -> Iterator[JobOutcome]`` is implemented by
-enqueuing tickets onto the shared :class:`JobQueue` through a sliding
-admission window and consuming outcome files strictly in enqueue
-order.  Because it speaks the same one-method protocol as the local
-backends, everything layered on executors — the streaming scheduler,
-RunHandle events, cooperative cancellation, the evaluation service —
-drives a remote fleet unchanged; the protocol-conformance suite in
+``submit(jobs, retries) -> Iterator[JobOutcome]`` ships chunks of jobs
+as tickets on the shared :class:`JobQueue`, through the same sliding
+window of chunks the process pool uses
+(:class:`~repro.core.executors.ChunkedExecutor`), and consumes outcome
+files strictly in enqueue order.  Because it speaks the same
+one-method protocol as the local backends, everything layered on
+executors — the streaming scheduler, RunHandle events, cooperative
+cancellation, the evaluation service — drives a remote fleet
+unchanged; the protocol-conformance suite in
 ``tests/core/test_executor_protocol.py`` passes as-is over in-process
 workers.
 
 Cancellation is lease revocation: abandoning the outcome iterator
 (generator close, Ctrl-C, ``RunHandle.cancel``) withdraws every
-unclaimed ticket in the window.  Claimed tickets finish and persist —
+unclaimed ticket in the window.  Claimed chunks finish and persist —
 the same in-flight-work-completes semantics as the local backends.
 A worker failure surfaces as the original exception type re-raised in
 the coordinator (rebuilt from the transported type name + message),
-so retry and propagation contracts hold across the process boundary.
+after the jobs before it in its chunk, so retry and propagation
+contracts hold across the process boundary.
 """
 
 from __future__ import annotations
 
 import builtins
+import itertools
 import time
 import uuid
-from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional
 
-from repro.core.executors import Executor, JobOutcome
+from repro.core.executors import ChunkResult, ChunkedExecutor, JobOutcome
 from repro.core.jobs import MeasurementJob
 from repro.distributed.queue import MIN_POLL_SECONDS, JobQueue
 from repro import errors as _errors
 from repro.errors import EvaluationError
 
 __all__ = ["RemoteExecutor"]
-
-_NO_MORE_JOBS = object()
 
 
 def _rebuild_error(info: dict) -> BaseException:
@@ -58,8 +59,14 @@ def _rebuild_error(info: dict) -> BaseException:
     return EvaluationError("remote worker failed with %s: %s" % (name, message))
 
 
-class RemoteExecutor(Executor):
-    """Execute jobs by publishing them to a worker-pull queue.
+class RemoteExecutor(ChunkedExecutor):
+    """Execute jobs by publishing chunks of them to a worker-pull queue.
+
+    Each ticket carries :attr:`chunk_jobs` jobs, and ``max_workers *
+    window_factor`` tickets stay published: the window is counted in
+    chunks, as in the process pool.  Closing the outcome stream
+    revokes every ticket no worker has claimed; claimed chunks finish
+    and persist their samples to the shared cache.
 
     Parameters
     ----------
@@ -69,7 +76,7 @@ class RemoteExecutor(Executor):
         worker-count validation) but is required by :meth:`submit`.
     max_workers:
         The fleet size this coordinator *assumes* when sizing its
-        admission window — enough tickets stay published to keep that
+        admission window — enough chunks stay published to keep that
         many workers busy without materializing a huge lazy grid.
         The actual fleet may be larger or smaller; this knob only
         shapes pipelining and backpressure.
@@ -79,7 +86,8 @@ class RemoteExecutor(Executor):
         :data:`~repro.distributed.queue.MIN_POLL_SECONDS` and doubles
         up to this cap.
     timeout:
-        Max seconds to wait for any single outcome (None = forever).
+        Max seconds to wait for any single ticket's outcome (None =
+        forever).
         Guards against a queue nobody is serving.
     lease_timeout:
         Passed to :class:`JobQueue`; also drives the coordinator-side
@@ -89,10 +97,6 @@ class RemoteExecutor(Executor):
     """
 
     name = "remote"
-
-    #: Tickets kept published beyond one per assumed worker — bounds
-    #: how far a lazy job iterable is consumed ahead of consumption.
-    window_factor = 2
 
     def __init__(
         self,
@@ -126,51 +130,42 @@ class RemoteExecutor(Executor):
                 "(point it at the directory your `repro worker` "
                 "processes watch)"
             )
-        return self._stream(iter(jobs), retries)
-
-    def _stream(self, jobs: Iterator[MeasurementJob], retries: int) -> Iterator[JobOutcome]:
         queue = self.queue
-        assert queue is not None
         # Tickets sort FIFO within a batch; the batch nonce keeps
         # concurrent coordinators sharing one queue out of each
         # other's namespaces.
         batch = uuid.uuid4().hex[:8]
-        window = self.max_workers * self.window_factor
-        pending: deque = deque()  # tickets enqueued, outcome not yet yielded
-        sequence = 0
-        try:
-            while True:
-                while len(pending) < window:
-                    job = next(jobs, _NO_MORE_JOBS)
-                    if job is _NO_MORE_JOBS:
-                        break
-                    ticket = "%s-%06d" % (batch, sequence)
-                    sequence += 1
-                    queue.enqueue(ticket, job, retries)
-                    pending.append(ticket)
-                if not pending:
-                    return
-                # Outcomes leave strictly in enqueue order even when a
-                # later ticket finishes first — its file just waits.
-                outcome = self._await_outcome(queue, pending[0])
-                pending.popleft()
-                error = outcome.get("error")
-                if error:
-                    raise _rebuild_error(error)
-                yield JobOutcome(
-                    outcome.get("value"),
-                    float(outcome.get("wall_seconds") or 0.0),
-                    int(outcome.get("attempts") or 1),
-                )
-        finally:
-            # Consumer done or walked away (cancel, Ctrl-C, exception):
-            # revoke every unclaimed ticket and sweep any outcomes that
-            # already landed.  Claimed tickets finish on their workers
-            # and persist to the shared cache — cooperative-cancel
-            # semantics, remote edition.
-            for ticket in pending:
-                queue.revoke(ticket)
-                queue.discard_outcome(ticket)
+        sequence = itertools.count()
+
+        def dispatch(chunk: List[MeasurementJob]) -> str:
+            ticket = "%s-%06d" % (batch, next(sequence))
+            queue.enqueue(ticket, chunk, retries)
+            return ticket
+
+        def collect(ticket: str) -> ChunkResult:
+            # Outcomes leave strictly in enqueue order even when a
+            # later ticket finishes first — its file just waits.
+            outcome = self._await_outcome(queue, ticket)
+            finished = []
+            for record in outcome.get("outcomes") or ():
+                if record.get("error"):
+                    return finished, _rebuild_error(record["error"])
+                finished.append(JobOutcome(
+                    record.get("value"),
+                    float(record.get("wall_seconds") or 0.0),
+                    int(record.get("attempts") or 1),
+                ))
+            error = outcome.get("error")
+            return finished, (_rebuild_error(error) if error else None)
+
+        def withdraw(ticket: str) -> None:
+            # A claimed ticket cannot be revoked: it finishes on its
+            # worker and persists to the shared cache.  An outcome
+            # file that already landed is discarded.
+            queue.revoke(ticket)
+            queue.discard_outcome(ticket)
+
+        return self._windowed(jobs, dispatch, collect, withdraw)
 
     def _await_outcome(self, queue: JobQueue, ticket: str) -> dict:
         deadline = (

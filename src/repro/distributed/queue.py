@@ -10,6 +10,26 @@ cluster, a tmp dir in tests)::
       outcomes/  <ticket>.json   finished work the coordinator takes
       workers/   <id>.json       worker liveness/stats beacons
 
+A ticket is a **chunk of jobs**, shipped and claimed as one unit so
+the per-ticket costs (a write, a rename, an outcome file, a poll)
+are paid once per chunk::
+
+    {"ticket": T, "retries": N, "jobs": [<MeasurementJob.to_dict()>, ...]}
+
+Its outcome file lists one record per job the worker ran, in job
+order, and stops at the first failure::
+
+    {"ticket": T, "worker": W, "wall_seconds": <the ticket's worker wall>,
+     "outcomes": [{"value": V, "wall_seconds": S, "attempts": A,
+                   "cache_hit": H, "error": null}, ...],
+     "error": null}
+
+A failed job's record carries ``{"type": ..., "message": ...}`` as
+its ``"error"`` and is the last record.  The top-level ``"error"`` is
+set only for a ticket the worker could not read at all (see
+:meth:`JobQueue.claim`).  Tickets and outcomes of different versions
+do not mix: drain a queue before upgrading its fleet.
+
 Every state transition is a single atomic filesystem operation, which
 is the whole concurrency story:
 
@@ -28,11 +48,13 @@ is the whole concurrency story:
   ``jobs/`` — again one atomic rename, so concurrent reclaimers (any
   worker or the coordinator may sweep) cannot duplicate a ticket.
 
-Reclaim gives at-least-once execution: a worker that dies *after*
-simulating but *before* completing gets its ticket re-run.  That is
-safe by construction — jobs are deterministic and results land in the
-content-addressed cache via atomic same-key writes — and the re-run
-is usually a cache hit, which the kill-a-worker tests pin.
+Reclaim gives at-least-once execution **per chunk**: a worker that
+dies before completing its ticket gets the whole chunk re-run.  That
+is safe by construction — jobs are deterministic and each job's
+result lands in the content-addressed cache, via an atomic same-key
+write, as soon as that job finishes — so the re-run simulates only
+the jobs the dead worker had not stored and serves the rest as cache
+hits, which the kill-a-worker tests pin.
 """
 
 from __future__ import annotations
@@ -41,7 +63,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.jobs import MeasurementJob
 from repro.errors import EvaluationError
@@ -86,10 +108,11 @@ def _read_json(path: str) -> Optional[dict]:
 
 
 class Claim(NamedTuple):
-    """A leased ticket: the job to run and where the lease lives."""
+    """A leased ticket: the chunk of jobs to run, in order, and where
+    the lease lives."""
 
     ticket: str
-    job: MeasurementJob
+    jobs: Tuple[MeasurementJob, ...]
     retries: int
     path: str
 
@@ -129,15 +152,21 @@ class JobQueue(object):
 
     # -- coordinator side ----------------------------------------------
 
-    def enqueue(self, ticket: str, job: MeasurementJob, retries: int = 1) -> None:
-        """Publish a ticket for any worker to claim."""
-        payload = {"ticket": ticket, "job": job.to_dict(), "retries": retries}
+    def enqueue(
+        self, ticket: str, jobs: Sequence[MeasurementJob], retries: int = 1
+    ) -> None:
+        """Publish a ticket carrying ``jobs`` for any worker to claim."""
+        payload = {
+            "ticket": ticket,
+            "jobs": [job.to_dict() for job in jobs],
+            "retries": retries,
+        }
         _write_json_atomic(self._path(_JOBS, ticket), payload)
 
     def revoke(self, ticket: str) -> bool:
         """Withdraw an *unclaimed* ticket (lease revocation: the
         cancellation primitive).  Returns False when a worker already
-        claimed it — that job finishes and persists, matching the
+        claimed it — that chunk finishes and persists, matching the
         cooperative-cancel semantics everywhere else in the repo."""
         try:
             os.unlink(self._path(_JOBS, ticket))
@@ -173,7 +202,13 @@ class JobQueue(object):
     def claim(self, worker_id: str) -> Optional[Claim]:
         """Lease the oldest available ticket, or None if the queue is
         drained.  Exactly one of N racing claimants wins any ticket
-        (atomic rename); everyone else silently moves to the next."""
+        (atomic rename); everyone else silently moves to the next.
+
+        A ticket that cannot be read (foreign litter, another
+        version's format) is answered with an error outcome naming
+        it, so a coordinator waiting on it fails instead of polling
+        forever, and the claim moves on to the next ticket.
+        """
         for ticket in self._tickets(_JOBS):
             job_path = self._path(_JOBS, ticket)
             claim_path = self._path(_CLAIMS, ticket)
@@ -186,28 +221,31 @@ class JobQueue(object):
             except OSError:
                 continue  # lost the race (or a revocation) — next ticket
             payload = _read_json(claim_path)
-            if payload is None or "job" not in payload:
-                # A torn ticket cannot happen via enqueue (atomic
-                # write); treat foreign litter as poison and drop it.
-                try:
-                    os.unlink(claim_path)
-                except OSError:
-                    pass
-                continue
             try:
-                job = MeasurementJob.from_dict(payload["job"])
-            except Exception:
-                try:
-                    os.unlink(claim_path)
-                except OSError:
-                    pass
+                if payload is None:
+                    raise ValueError("not a JSON object")
+                jobs = tuple(MeasurementJob.from_dict(job) for job in payload["jobs"])
+                retries = int(payload.get("retries", 1))
+                if not jobs:
+                    raise ValueError("no jobs")
+            except Exception as error:
+                self.complete(
+                    Claim(ticket, (), 1, claim_path),
+                    {
+                        "ticket": ticket,
+                        "worker": worker_id,
+                        "wall_seconds": 0.0,
+                        "outcomes": [],
+                        "error": {
+                            "type": "EvaluationError",
+                            "message": "ticket %s in %s is unreadable by this "
+                            "worker (%s: %s); mixed-version fleets are unsupported"
+                            % (ticket, self.root, type(error).__name__, error),
+                        },
+                    },
+                )
                 continue
-            return Claim(
-                ticket=ticket,
-                job=job,
-                retries=int(payload.get("retries", 1)),
-                path=claim_path,
-            )
+            return Claim(ticket=ticket, jobs=jobs, retries=retries, path=claim_path)
         return None
 
     def heartbeat(self, claim: Claim) -> None:

@@ -9,13 +9,15 @@ conformance suite, the reclaim tests and the benchmark stand up a
 fleet without subprocess overhead (and how the DiskBackend locks earn
 their keep).
 
-Execution goes through :func:`repro.core.executors.execute_job_instrumented`
-*via the module*, so the same retry semantics — and the same test
+A ticket is a chunk of jobs, run in order.  Each job goes through
+:func:`repro.core.executors.execute_job_instrumented` *via the
+module*, so the same retry semantics — and the same test
 monkeypatches — apply to remote workers as to every local backend.
-The shared cache is consulted before simulating: a ticket reclaimed
-from a worker that died after its result landed re-runs as a cache
-hit, which is what makes at-least-once delivery cost at most one
-duplicate simulation per actual mid-simulation death.
+Each job consults the shared cache before simulating and stores its
+sample as soon as it finishes: a ticket reclaimed from a worker that
+died mid-chunk re-runs its stored jobs as cache hits, which is what
+makes at-least-once delivery cost at most one duplicate simulation
+per actual mid-simulation death.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Callable, List, Optional
 
 from repro.core import executors as _executors
 from repro.core.cache import MISSING, ResultCache
+from repro.core.jobs import MeasurementJob
 from repro.distributed.queue import MIN_POLL_SECONDS, Claim, JobQueue
 from repro.errors import EvaluationError
 
@@ -57,13 +60,17 @@ class Worker(object):
         lease timeout so a healthy worker can miss several beats
         before anyone may steal its claim.
     max_jobs:
-        Stop after this many processed tickets (None = run forever).
+        Stop after the ticket that brings the processed job count to
+        this many (None = run forever).  A ticket is never split, so
+        the count may end above it.
     idle_seconds:
         Stop after the queue stayed empty this long (None = wait for
         :meth:`stop`) — how batch deployments drain and exit.
     on_job:
-        Optional callable ``(claim, outcome_dict)`` fired after every
-        published outcome (progress lines, test hooks).
+        Optional callable ``(claim, index, record)`` fired once per job
+        after its ticket's outcome is published, with the job's index
+        in the chunk and its outcome record (progress lines, test
+        hooks).
     """
 
     def __init__(
@@ -75,7 +82,7 @@ class Worker(object):
         heartbeat_interval: Optional[float] = None,
         max_jobs: Optional[int] = None,
         idle_seconds: Optional[float] = None,
-        on_job: Optional[Callable[[Claim, dict], None]] = None,
+        on_job: Optional[Callable[[Claim, int, dict], None]] = None,
     ) -> None:
         if poll_interval <= 0.0:
             raise EvaluationError("poll_interval must be > 0")
@@ -95,8 +102,8 @@ class Worker(object):
         self.max_jobs = max_jobs
         self.idle_seconds = idle_seconds
         self.on_job = on_job
-        #: Tickets processed / simulations actually run / served from
-        #: the shared cache / failures transported — the counters the
+        #: Jobs processed / simulations actually run / served from the
+        #: shared cache / failures transported — the counters the
         #: reclaim tests and the CI smoke assert on.
         self.processed = 0
         self.simulated = 0
@@ -118,30 +125,26 @@ class Worker(object):
 
     # -- execution -----------------------------------------------------
 
-    def _process(self, claim: Claim) -> dict:
+    def _run_job(self, job: MeasurementJob, retries: int) -> dict:
         start = time.perf_counter()
-        outcome = {
-            "ticket": claim.ticket,
-            "worker": self.worker_id,
+        record = {
             "value": None,
             "wall_seconds": 0.0,
             "attempts": 1,
             "cache_hit": False,
             "error": None,
         }
-        value = self.cache.lookup(claim.job)
+        value = self.cache.lookup(job)
         if value is not MISSING:
-            # A reclaimed ticket whose first worker died *after* the
+            # A reclaimed ticket whose first worker died *after* this
             # sample landed — or overlapping sweeps sharing a job —
             # costs a lookup, not a simulation.
             self.cache_hits += 1
-            outcome["value"] = value
-            outcome["cache_hit"] = True
+            record["value"] = value
+            record["cache_hit"] = True
         else:
             try:
-                result = _executors.execute_job_instrumented(
-                    claim.job, claim.retries
-                )
+                result = _executors.execute_job_instrumented(job, retries)
             except Exception as error:
                 # Transport the failure instead of dying: the
                 # coordinator re-raises it in the submitting process,
@@ -149,17 +152,34 @@ class Worker(object):
                 # applies.  The worker itself stays up for the next
                 # ticket.
                 self.failed += 1
-                outcome["error"] = {
+                record["error"] = {
                     "type": type(error).__name__,
                     "message": str(error),
                 }
             else:
                 self.simulated += 1
-                self.cache.store(claim.job, result.value)
-                outcome["value"] = result.value
-                outcome["attempts"] = result.attempts
-        outcome["wall_seconds"] = max(time.perf_counter() - start, 1e-9)
-        return outcome
+                # Stored per job, not per chunk: a worker killed
+                # mid-chunk loses only the jobs it had not finished.
+                self.cache.store(job, result.value)
+                record["value"] = result.value
+                record["attempts"] = result.attempts
+        record["wall_seconds"] = max(time.perf_counter() - start, 1e-9)
+        return record
+
+    def _process(self, claim: Claim) -> dict:
+        start = time.perf_counter()
+        records = []
+        for job in claim.jobs:
+            records.append(self._run_job(job, claim.retries))
+            if records[-1]["error"]:
+                break  # the jobs after a failure are never wanted
+        return {
+            "ticket": claim.ticket,
+            "worker": self.worker_id,
+            "wall_seconds": max(time.perf_counter() - start, 1e-9),
+            "outcomes": records,
+            "error": None,
+        }
 
     def run_one(self) -> bool:
         """Claim and process one ticket; False when none is available."""
@@ -174,9 +194,10 @@ class Worker(object):
         finally:
             with self._claim_lock:
                 self._current_claim = None
-        self.processed += 1
+        self.processed += len(outcome["outcomes"])
         if self.on_job is not None:
-            self.on_job(claim, outcome)
+            for index, record in enumerate(outcome["outcomes"]):
+                self.on_job(claim, index, record)
         return True
 
     def run(self) -> dict:

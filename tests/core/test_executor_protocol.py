@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.core.executors import execute_job_instrumented
+from repro.core.executors import ChunkedExecutor, execute_job_instrumented
 from repro.core.jobs import execute_job
 from repro.core.progress import JobFinished
 from repro.core.scheduler import (
@@ -210,16 +210,15 @@ class TestSubmitSemantics:
                 break  # admission has quiesced against the stall
         # Window accounting per backend: serial pulls one at a time;
         # lookahead-thread holds its queue plus the job it is running;
-        # process keeps window chunks of chunk_jobs in flight; remote
-        # keeps one window of tickets published (bound with slack).
+        # the pool backends (process, remote) keep one window of
+        # chunks in flight.
         if type(executor) is SerialExecutor:
             bound = 2
         elif type(executor) is LookaheadThreadExecutor:
             bound = executor.lookahead + 2
-        elif isinstance(executor, ProcessPoolExecutor):
-            bound = executor.max_workers * executor.window_factor * executor.chunk_jobs + executor.chunk_jobs
         else:
-            bound = 2 * executor.max_workers * executor.window_factor + 2
+            assert isinstance(executor, ChunkedExecutor)
+            bound = executor.max_workers * executor.window_factor * executor.chunk_jobs + executor.chunk_jobs
         assert len(pulled) <= bound, (
             "%s ran %d jobs ahead of a stalled consumer (bound %d)"
             % (executor.name, len(pulled), bound)
@@ -251,6 +250,35 @@ class TestRetries:
         self._patch_flaky(executor, monkeypatch)
         with pytest.raises(OSError, match="transient"):
             list(executor.submit(tiny_spec(tools=("p4",)).jobs()[:2], retries=1))
+
+
+class TestFailurePersistence:
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_failure_at_job_k_keeps_jobs_before_it(self, executor, monkeypatch, k):
+        """Jobs 0..k-1 reach the cache even when job k fails in the
+        same chunk: store-as-completed holds up to the failure."""
+        if (
+            isinstance(executor, ProcessPoolExecutor)
+            and multiprocessing.get_start_method() != "fork"
+        ):
+            pytest.skip("monkeypatched execute_job reaches workers only via fork")
+        import repro.core.executors as executors_module
+
+        jobs = tiny_spec(tools=("p4",),
+                         platforms=("sun-ethernet", "sun-atm-lan")).jobs()
+        failing = jobs[k]
+
+        def fail_at_k(job):
+            if job == failing:
+                raise ValueError("injected failure")
+            return 1.0
+
+        monkeypatch.setattr(executors_module, "execute_job", fail_at_k)
+        scheduler = Scheduler(executor=executor)
+        with pytest.raises(ValueError, match="injected"):
+            scheduler.run_jobs(jobs)
+        assert scheduler.cache.get_many(jobs[:k]) == dict.fromkeys(jobs[:k], 1.0)
+        assert scheduler.simulations_run == k
 
 
 class TestBrokenPoolRecovery:

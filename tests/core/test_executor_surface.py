@@ -94,7 +94,7 @@ class TestBackends:
         (Executor, set()),
         (SerialExecutor, set()),
         (ProcessPoolExecutor, {"chunk_jobs", "window_factor"}),
-        (RemoteExecutor, {"window_factor"}),
+        (RemoteExecutor, {"chunk_jobs", "window_factor"}),
     ])
     def test_the_protocol_is_submit_plus_a_lifecycle(self, cls, tunables):
         public = {name for name in dir(cls) if not name.startswith("_")}

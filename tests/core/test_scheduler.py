@@ -195,8 +195,9 @@ class TestAbandonedStream:
             def submit(self, fn, chunk, retries):
                 future = concurrent.futures.Future()
                 if len(submitted) < prefilled_chunks:
+                    # execute_job_chunk's shape: outcomes, no error.
                     future.set_result(
-                        [JobOutcome(1.0, 0.0, 1) for _ in chunk]
+                        ([JobOutcome(1.0, 0.0, 1) for _ in chunk], None)
                     )
                 submitted.append(future)
                 return future

@@ -44,6 +44,7 @@ _spec.loader.exec_module(_suite)
 TestProtocolSurface = _suite.TestProtocolSurface
 TestSubmitSemantics = _suite.TestSubmitSemantics
 TestRetries = _suite.TestRetries
+TestFailurePersistence = _suite.TestFailurePersistence
 TestBrokenPoolRecovery = _suite.TestBrokenPoolRecovery
 TestSchedulerIntegration = _suite.TestSchedulerIntegration
 

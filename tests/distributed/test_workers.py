@@ -40,6 +40,51 @@ def backdate(path, seconds):
     os.utime(path, (past, past))
 
 
+def enqueue_chunks(queue, jobs, size=4):
+    """Publish ``jobs`` as tickets of ``size`` jobs, as the coordinator
+    does; returns the tickets in order."""
+    tickets = []
+    for start in range(0, len(jobs), size):
+        tickets.append("t-%06d" % len(tickets))
+        queue.enqueue(tickets[-1], jobs[start:start + size])
+    return tickets
+
+
+def serve_by_hand(queue, value=1.25):
+    """Claim the oldest ticket and complete every job in it with
+    ``value`` — a worker with no simulator behind it."""
+    claim = queue.claim("w-manual")
+    records = [{"value": value, "wall_seconds": 0.01, "attempts": 1,
+                "cache_hit": False, "error": None} for _ in claim.jobs]
+    queue.complete(claim, {"ticket": claim.ticket, "worker": "w-manual",
+                           "wall_seconds": 0.01 * len(records),
+                           "outcomes": records, "error": None})
+    return claim
+
+
+class Died(BaseException):
+    """Stands in for SIGKILL: not an Exception, so nothing in the
+    worker catches it and nothing after it runs."""
+
+
+class DyingCache(object):
+    """The worker's cache view until the process 'dies' on the store
+    after ``stores`` successful ones."""
+
+    def __init__(self, cache, stores):
+        self.cache = cache
+        self.stores = stores
+
+    def lookup(self, job):
+        return self.cache.lookup(job)
+
+    def store(self, job, value):
+        if self.stores == 0:
+            raise Died()
+        self.stores -= 1
+        self.cache.store(job, value)
+
+
 def wait_until(predicate, timeout=30.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -51,23 +96,23 @@ def wait_until(predicate, timeout=30.0, interval=0.01):
 
 class TestStaleLeaseReclaim:
     def test_killed_worker_jobs_rerun_exactly_the_lost_ones(self, tmp_path):
-        """A worker dies mid-job (claim held, heartbeat stopped, no
-        result landed): the healthy fleet reclaims and re-runs *that*
-        ticket — and nothing else twice.  simulations == job count."""
+        """A worker dies on a chunk before any of its jobs finished
+        (claim held, heartbeat stopped, no result landed): the healthy
+        fleet reclaims and re-runs *that* ticket — and nothing else
+        twice.  simulations == job count."""
         queue = JobQueue(str(tmp_path / "queue"), lease_timeout=1.0)
         cache = ResultCache.on_disk(str(tmp_path / "cache"), shards=2)
         jobs = tiny_spec(tools=("p4", "express")).jobs()
-        for index, job in enumerate(jobs):
-            queue.enqueue("t-%06d" % index, job)
+        tickets = enqueue_chunks(queue, jobs)
 
         doomed = queue.claim("w-dead")
-        assert doomed is not None
+        assert doomed is not None and len(doomed.jobs) == 4
         backdate(doomed.path, 60.0)  # died: heartbeat never comes
 
         outcomes_dir = os.path.join(queue.root, "outcomes")
         with WorkerPool(queue, cache, workers=2, poll_interval=0.005) as pool:
             assert wait_until(
-                lambda: len(os.listdir(outcomes_dir)) == len(jobs)
+                lambda: len(os.listdir(outcomes_dir)) == len(tickets)
             ), "fleet never finished the queue (reclaim failed?)"
         # Exactly once each: the lost ticket re-ran on a healthy
         # worker, nothing was duplicated, nothing served stale.
@@ -76,33 +121,63 @@ class TestStaleLeaseReclaim:
         assert pool.processed == len(jobs)
         doomed_outcome = queue.take_outcome(doomed.ticket)
         assert doomed_outcome["worker"] != "w-dead"
-        assert doomed_outcome["cache_hit"] is False
+        assert [record["cache_hit"] for record in doomed_outcome["outcomes"]] == [
+            False] * len(doomed.jobs)
 
-    def test_death_after_store_costs_a_lookup_not_a_simulation(self, tmp_path):
-        """A worker dies *between* persisting the sample and releasing
-        the lease: the reclaimed re-run must be a cache hit — this is
-        the at-least-once-but-idempotent half of the design."""
+    def test_worker_killed_mid_chunk_reruns_only_its_unfinished_jobs(self, tmp_path):
+        """A real worker stores two jobs of its chunk, simulates the
+        third and dies storing it: the reclaimed re-run serves the two
+        stored jobs as cache hits and simulates exactly the other two."""
         queue = JobQueue(str(tmp_path / "queue"), lease_timeout=1.0)
         cache = ResultCache.on_disk(str(tmp_path / "cache"), shards=2)
-        jobs = tiny_spec(tools=("p4",)).jobs()
-        for index, job in enumerate(jobs):
-            queue.enqueue("t-%06d" % index, job)
+        jobs = tiny_spec(tools=("p4", "express")).jobs()
+        tickets = enqueue_chunks(queue, jobs)
+
+        doomed = Worker(queue, DyingCache(cache, stores=2), worker_id="w-dead")
+        with pytest.raises(Died):
+            doomed.run_one()
+        assert doomed.simulated == 3  # the third simulated, never stored
+        backdate(os.path.join(queue.root, "claims", tickets[0] + ".json"), 60.0)
+
+        outcomes_dir = os.path.join(queue.root, "outcomes")
+        with WorkerPool(queue, cache, workers=2, poll_interval=0.005) as pool:
+            assert wait_until(
+                lambda: len(os.listdir(outcomes_dir)) == len(tickets)
+            ), "fleet never finished the queue (reclaim failed?)"
+        assert pool.cache_hits == 2
+        assert pool.simulated == len(jobs) - 2
+        rerun = queue.take_outcome(tickets[0])
+        assert rerun["worker"] != "w-dead"
+        assert [record["cache_hit"] for record in rerun["outcomes"]] == [
+            True, True, False, False]
+
+    def test_death_after_store_costs_a_lookup_not_a_simulation(self, tmp_path):
+        """A worker dies *between* persisting its chunk's samples and
+        releasing the lease: the reclaimed re-run must be all cache
+        hits — this is the at-least-once-but-idempotent half of the
+        design."""
+        queue = JobQueue(str(tmp_path / "queue"), lease_timeout=1.0)
+        cache = ResultCache.on_disk(str(tmp_path / "cache"), shards=2)
+        jobs = tiny_spec(tools=("p4", "express")).jobs()
+        tickets = enqueue_chunks(queue, jobs)
 
         doomed = queue.claim("w-dead")
         from repro.core.jobs import execute_job
 
-        cache.store(doomed.job, execute_job(doomed.job))  # work landed...
+        for job in doomed.jobs:
+            cache.store(job, execute_job(job))  # work landed...
         backdate(doomed.path, 60.0)  # ...then the worker died
 
         outcomes_dir = os.path.join(queue.root, "outcomes")
         with WorkerPool(queue, cache, workers=2, poll_interval=0.005) as pool:
             assert wait_until(
-                lambda: len(os.listdir(outcomes_dir)) == len(jobs)
+                lambda: len(os.listdir(outcomes_dir)) == len(tickets)
             )
-        assert pool.simulated == len(jobs) - 1  # the lost one not re-simulated
-        assert pool.cache_hits == 1
+        # The lost chunk is not re-simulated.
+        assert pool.simulated == len(jobs) - len(doomed.jobs)
+        assert pool.cache_hits == len(doomed.jobs)
         reclaimed = queue.take_outcome(doomed.ticket)
-        assert reclaimed["cache_hit"] is True
+        assert all(record["cache_hit"] for record in reclaimed["outcomes"])
 
     def test_scheduler_run_survives_a_killed_worker(self, tmp_path):
         """The full stack — Scheduler -> RemoteExecutor -> queue ->
@@ -154,7 +229,11 @@ class TestCancellation:
             queue_dir=queue_dir, max_workers=2, poll_interval=0.005,
             timeout=120.0,
         )
-        jobs = tiny_spec(tools=("p4", "express")).jobs()
+        jobs = tiny_spec(tools=("p4", "express"),
+                         platforms=("sun-ethernet", "sun-atm-lan"),
+                         seeds=(0, 1)).jobs()  # 40 jobs, 10 chunks
+        window = executor.max_workers * executor.window_factor
+        assert len(jobs) > window * executor.chunk_jobs
         stream = executor.submit(jobs)
         got = {}
 
@@ -163,14 +242,12 @@ class TestCancellation:
 
         consumer = threading.Thread(target=consume_one)
         consumer.start()
-        # The window (max_workers * window_factor = 4) publishes, then
-        # the coordinator blocks on the first outcome.  Serve exactly
-        # that one by hand — no real workers anywhere.
-        assert wait_until(lambda: len(queue.pending()) == 4)
-        claim = queue.claim("w-manual")
-        queue.complete(claim, {"ticket": claim.ticket, "value": 1.25,
-                               "wall_seconds": 0.01, "attempts": 1,
-                               "cache_hit": False, "error": None})
+        # The window (max_workers * window_factor chunks) publishes,
+        # then the coordinator blocks on the first outcome.  Serve
+        # exactly that ticket by hand — no real workers anywhere.
+        assert wait_until(lambda: len(queue.pending()) == window)
+        served = serve_by_hand(queue)
+        assert len(served.jobs) == executor.chunk_jobs
         consumer.join(timeout=30.0)
         assert not consumer.is_alive()
         assert got["outcome"].value == 1.25
@@ -223,6 +300,32 @@ class TestFailureTransport:
             # The worker that hit the failure is still serving.
             assert wait_until(lambda: pool.workers[0].failed + pool.workers[1].failed >= 1)
 
+    def test_unreadable_ticket_fails_the_run_naming_it(self, tmp_path, monkeypatch):
+        """A ticket the fleet cannot read (here: the one-job format of
+        an older coordinator) comes back as an error outcome, so the
+        coordinator raises instead of polling forever."""
+        from repro.distributed import queue as queue_module
+
+        def enqueue_foreign(self, ticket, jobs, retries=1):
+            queue_module._write_json_atomic(
+                self._path("jobs", ticket),
+                {"ticket": ticket, "job": jobs[0].to_dict(), "retries": retries},
+            )
+
+        monkeypatch.setattr(JobQueue, "enqueue", enqueue_foreign)
+        queue = JobQueue(str(tmp_path / "queue"))
+        cache = ResultCache()
+        executor = RemoteExecutor(
+            queue_dir=queue.root, max_workers=1, poll_interval=0.005,
+            timeout=120.0,
+        )
+        start = time.monotonic()
+        with WorkerPool(queue, cache, workers=1, poll_interval=0.005) as pool:
+            with pytest.raises(EvaluationError, match=r"ticket \S+-000000 .*unreadable"):
+                list(executor.submit(tiny_spec(tools=("p4",)).jobs()[:2]))
+        assert time.monotonic() - start < 30.0
+        assert pool.simulated == 0
+
     def test_unresolvable_error_type_degrades_to_evaluation_error(self, tmp_path):
         from repro.distributed.executor import _rebuild_error
 
@@ -266,7 +369,7 @@ class TestPollBackoff:
                     return super().wait(timeout)  # the heartbeat thread
                 waits.append(timeout)
                 if len(waits) == len(BACKOFF):
-                    queue.enqueue("t-000000", job)
+                    queue.enqueue("t-000000", [job])
                 elif len(waits) >= len(BACKOFF) + 3:
                     self.set()
                 return self.is_set()
@@ -284,44 +387,95 @@ class TestPollBackoff:
                                   poll_interval=0.01)
         sleeps = []
 
-        def serve_one():
-            claim = queue.claim("w-manual")
-            queue.complete(claim, {"ticket": claim.ticket, "value": 1.25,
-                                   "wall_seconds": 0.01, "attempts": 1,
-                                   "cache_hit": False, "error": None})
-
         def record(seconds):
             sleeps.append(seconds)
             if len(sleeps) in (len(BACKOFF), len(BACKOFF) + 3):
-                serve_one()
+                serve_by_hand(queue)
             assert len(sleeps) < 50, "the coordinator never saw an outcome"
 
         monkeypatch.setattr(executor_module.time, "sleep", record)
-        outcomes = list(executor.submit(tiny_spec(tools=("p4",)).jobs()[:2]))
-        assert [outcome.value for outcome in outcomes] == [1.25, 1.25]
+        # One full chunk and a one-job chunk: two tickets.
+        jobs = tiny_spec(tools=("p4",)).jobs()[: executor.chunk_jobs + 1]
+        outcomes = list(executor.submit(jobs))
+        assert [outcome.value for outcome in outcomes] == [1.25] * len(jobs)
         # Ticket 0 waited out the whole ramp; ticket 1 started over.
         assert sleeps == pytest.approx(BACKOFF + BACKOFF[:3])
 
 
 class TestWorkerKnobs:
-    def test_max_jobs_bounds_the_loop(self, tmp_path):
+    def test_max_jobs_counts_jobs_and_stops_after_the_ticket_reaching_it(self, tmp_path):
         queue = JobQueue(str(tmp_path / "queue"))
         cache = ResultCache()
-        jobs = tiny_spec(tools=("p4",)).jobs()
-        for index, job in enumerate(jobs):
-            queue.enqueue("t-%06d" % index, job)
-        worker = Worker(queue, cache, max_jobs=2, poll_interval=0.005)
+        jobs = tiny_spec(tools=("p4", "express")).jobs()
+        tickets = enqueue_chunks(queue, jobs, size=3)
+        # The first ticket brings the count to 3, the second to 6.
+        worker = Worker(queue, cache, max_jobs=4, poll_interval=0.005)
         stats = worker.run()
-        assert stats["processed"] == 2
-        assert len(queue.pending()) == len(jobs) - 2
+        assert stats["processed"] == 6
+        assert queue.pending() == tickets[2:]
 
     def test_idle_exit_drains_then_stops(self, tmp_path):
         queue = JobQueue(str(tmp_path / "queue"))
         cache = ResultCache()
-        queue.enqueue("t-000000", tiny_spec(tools=("p4",)).jobs()[0])
+        queue.enqueue("t-000000", tiny_spec(tools=("p4",)).jobs()[:1])
         worker = Worker(queue, cache, idle_seconds=0.2, poll_interval=0.01)
         stats = worker.run()  # returns by itself once drained + idle
         assert stats["processed"] == 1
+
+    def test_on_job_fires_once_per_job_after_publication(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "queue"))
+        cache = ResultCache()
+        jobs = tiny_spec(tools=("p4",)).jobs()[:3]
+        cache.store(jobs[1], 2.5)
+        queue.enqueue("t-000000", jobs)
+        seen = []
+
+        def on_job(claim, index, record):
+            assert os.path.exists(os.path.join(queue.root, "outcomes",
+                                               claim.ticket + ".json"))
+            seen.append((claim.ticket, index, record["cache_hit"]))
+
+        assert Worker(queue, cache, on_job=on_job).run_one()
+        assert seen == [("t-000000", 0, False), ("t-000000", 1, True),
+                        ("t-000000", 2, False)]
+
+    def test_repro_worker_prints_one_line_per_job(self, tmp_path, monkeypatch, capsys):
+        import re
+        import signal
+
+        from repro.cli import main
+
+        monkeypatch.setattr(signal, "signal", lambda *args: None)  # keep pytest's
+        queue = JobQueue(str(tmp_path / "queue"))
+        queue.enqueue("t-000000", tiny_spec(tools=("p4",)).jobs()[:3])
+        assert main(["worker", "--queue", queue.root,
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--idle-exit", "0.05", "--poll", "0.01"]) == 0
+        lines = re.findall(r"ticket=(\S+) (\S+)", capsys.readouterr().out)
+        assert lines == [("t-000000/%d" % index, "simulated") for index in range(3)]
+
+    def test_a_failing_job_ends_its_chunk(self, tmp_path, monkeypatch):
+        import repro.core.executors as executors_module
+
+        jobs = tiny_spec(tools=("p4",)).jobs()[:4]
+
+        def fail_third(job):
+            if job == jobs[2]:
+                raise ValueError("third")
+            return 1.0
+
+        monkeypatch.setattr(executors_module, "execute_job", fail_third)
+        queue = JobQueue(str(tmp_path / "queue"))
+        cache = ResultCache()
+        queue.enqueue("t-000000", jobs)
+        worker = Worker(queue, cache)
+        assert worker.run_one()
+        outcome = queue.take_outcome("t-000000")
+        assert [record["error"] for record in outcome["outcomes"]] == [
+            None, None, {"type": "ValueError", "message": "third"}]
+        assert worker.stats() == {"processed": 3, "simulated": 2,
+                                  "cache_hits": 0, "failed": 1}
+        assert cache.lookup(jobs[1]) == 1.0  # stored before the failure
 
     def test_remote_executor_times_out_without_workers(self, tmp_path):
         executor = RemoteExecutor(
