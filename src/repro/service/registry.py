@@ -22,29 +22,30 @@ glues three things together:
   completed run is one row of the run history, written in one
   transaction.
 
-A watcher thread per run observes completion; the registry itself
-never blocks a caller.  :meth:`events` is the blocking iterator each
-SSE response writes out on its connection's thread: it replays the
-run's buffered events and then follows live (several consumers may
-stream one run), announcing the end only after the outcome is
-persisted, and for runs that are no longer resident (a restarted
-server) it synthesizes the terminal
-:class:`~repro.core.progress.RunCompleted` from the store.
+The registry holds only queued and running runs: a watcher thread per
+run commits its terminal row and then drops it, so a finished run, of
+this process or a previous server, is a row of the store.
+:meth:`events` is the blocking iterator each SSE response writes out
+on its connection's thread: a live run's buffered events, then live
+(several consumers may stream one run), with the end announced only
+after the outcome is persisted; a finished run's stream is rebuilt
+from its stored record.  The registry itself never blocks a caller.
 """
 
 from __future__ import annotations
 
 import threading
 import uuid
-from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.cache import ResultCache
-from repro.core.progress import Progress, RunCompleted, RunEvent
+from repro.core.jobs import MeasurementJob
+from repro.core.progress import (CacheHit, JobFinished, JobStarted, Progress,
+                                 RunCompleted, RunEvent)
 from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import RunCancelled, ServiceError
-from repro.history.store import TERMINAL_STATES, HistoryStore, current_git_sha
+from repro.history.store import HistoryStore, current_git_sha
 
 __all__ = ["DEFAULT_USER", "normalize_user", "JobRegistry", "progress_to_dict"]
 
@@ -85,24 +86,56 @@ def progress_to_dict(progress: Progress) -> dict:
     }
 
 
-class _ManagedRun(object):
-    """Registry-internal bookkeeping for one resident run."""
+def _recorded_events(record: dict) -> Iterator[RunEvent]:
+    """A finished run's event stream, rebuilt from its stored record:
+    a completed run's per-job telemetry in first-occurrence order (what
+    a serial executor narrates live), then the row's counters as the
+    :class:`RunCompleted`.  A cancelled run's partial export has no
+    telemetry; a failed run's stream ends without a terminal event."""
+    state = record["state"]
+    if state not in ("completed", "cancelled"):
+        return
+    export = record["result"] or {}
+    telemetry = export.get("telemetry", {}).get("jobs", ())
+    index = 0
+    for entry, sample in zip(telemetry, export.get("samples", ())):
+        job = MeasurementJob.from_dict(dict(entry, params=entry["params"].items()))
+        if entry["cache_hit"]:
+            yield CacheHit(job, sample["seconds"])
+            continue
+        yield JobStarted(job, index)
+        index += 1
+        yield JobFinished(job, sample["seconds"], entry["wall_seconds"],
+                          entry["attempts"])
+    simulated = record["simulated"] or 0
+    cache_hits = record["cache_hits"] or 0
+    yield RunCompleted(
+        total=simulated + cache_hits,
+        simulated=simulated,
+        cache_hits=cache_hits,
+        cancelled=state == "cancelled",
+        wall_seconds=record["wall_seconds"] or 0.0,
+    )
 
-    __slots__ = ("run_id", "user", "spec", "state", "scheduler", "handle",
-                 "started", "done", "watcher")
+
+class _ManagedRun(object):
+    """Registry-internal bookkeeping for one queued or running run."""
+
+    __slots__ = ("run_id", "user", "spec", "handle", "started", "done", "persisted")
 
     def __init__(self, run_id: str, user: str, spec: EvaluationSpec) -> None:
         self.run_id = run_id
         self.user = user
         self.spec = spec
-        self.state = "queued"
-        self.scheduler: Optional[Scheduler] = None
+        #: ``None`` while the run is queued.
         self.handle = None
-        #: Set once the run has a handle *or* reached a terminal state
-        #: without ever starting — what events() consumers wait on.
+        #: Set once the run has a handle *or* was cancelled without
+        #: ever starting — what events() consumers wait on.
         self.started = threading.Event()
+        #: Set once the watcher has tried to store the outcome, and
+        #: ``persisted`` says whether the handle's own end landed.
         self.done = threading.Event()
-        self.watcher: Optional[threading.Thread] = None
+        self.persisted = False
 
 
 class JobRegistry(object):
@@ -146,9 +179,8 @@ class JobRegistry(object):
             scheduler_factory = lambda: Scheduler(cache=shared)  # noqa: E731
         self._scheduler_factory = scheduler_factory
         self._lock = threading.Lock()
+        # Live runs only, in submission order (each user's FIFO queue).
         self._runs: Dict[str, _ManagedRun] = {}  # guarded-by: _lock
-        self._queues: Dict[str, deque] = {}   # user -> run_ids waiting; guarded-by: _lock
-        self._active: Dict[str, set] = {}     # user -> run_ids running; guarded-by: _lock
         self._shutting_down = False  # guarded-by: _lock
 
     # -- submission ----------------------------------------------------
@@ -167,76 +199,77 @@ class JobRegistry(object):
             if self._shutting_down:
                 raise ServiceError("server is shutting down; not accepting runs")
             run_id = uuid.uuid4().hex[:12]
-            while run_id in self._runs:  # pragma: no cover - astronomically rare
-                run_id = uuid.uuid4().hex[:12]
             record = self.store.create(run_id, user, spec.to_dict())
             managed = _ManagedRun(run_id, user, spec)
             self._runs[run_id] = managed
-            if len(self._active.setdefault(user, set())) < self.per_user_limit:
-                self._start_locked(managed)
-            else:
-                self._queues.setdefault(user, deque()).append(run_id)
-            record["state"] = managed.state
+            self._admit_next_locked(user)
+            record["state"] = "queued" if managed.handle is None else "running"
             return record
 
     def _start_locked(self, managed: _ManagedRun) -> None:
         """Move one queued run to running (caller holds the lock)."""
         self.store.transition(managed.run_id, "running")
-        managed.state = "running"
-        self._active.setdefault(managed.user, set()).add(managed.run_id)
-        managed.scheduler = self._scheduler_factory()
-        managed.handle = managed.scheduler.start(managed.spec)
+        scheduler = self._scheduler_factory()
+        managed.handle = scheduler.start(managed.spec)
         managed.started.set()
-        managed.watcher = threading.Thread(
-            target=self._watch, args=(managed,),
+        threading.Thread(
+            target=self._finalize, args=(managed, scheduler),
             name="repro-service-watch-%s" % managed.run_id, daemon=True,
-        )
-        managed.watcher.start()
+        ).start()
 
     # -- completion (watcher threads) ----------------------------------
 
-    def _watch(self, managed: _ManagedRun) -> None:
-        managed.handle.wait()
-        self._finalize(managed)
+    def _finalize(self, managed: _ManagedRun, scheduler: Scheduler) -> None:
+        """Persist a finished run's outcome, drop the run once a
+        terminal row is committed, and admit the user's next.
 
-    def _finalize(self, managed: _ManagedRun) -> None:
-        """Persist a finished run's outcome and admit the user's next.
-
-        Runs on the watcher thread after the handle's worker ended, so
+        Runs on the watcher thread; the handle's worker has ended, so
         every completed sample is already flushed to the cache — the
         same interrupt-flush guarantee
         :meth:`~repro.core.scheduler.RunHandle.result` gives a ctrl-C'd
         blocking run.
         """
         handle = managed.handle
+        handle.wait()
         progress = handle.progress()
-        error = None
-        result_export = None
+        outcome = dict(simulated=progress.simulated,
+                       cache_hits=progress.cache_hits,
+                       wall_seconds=progress.elapsed_seconds)
         try:
-            result = handle.result()
+            outcome["result"] = handle.result().to_dict()
             state = "completed"
-            result_export = result.to_dict()
         except RunCancelled:
             state = "cancelled"
-            result_export = self._partial_export(handle)
+            outcome["result"] = self._partial_export(handle)
         except Exception as failure:  # noqa: BLE001 - recorded, not raised
             state = "failed"
-            error = "%s: %s" % (type(failure).__name__, failure)
+            outcome["error"] = "%s: %s" % (type(failure).__name__, failure)
+        recorded = self._record_outcome(managed.run_id, state, outcome)
         try:
-            self.store.transition(
-                managed.run_id, state, error=error,
-                simulated=progress.simulated, cache_hits=progress.cache_hits,
-                wall_seconds=progress.elapsed_seconds, result=result_export,
-                git_sha=self._git_sha,
-            )
+            scheduler.close()
         finally:
-            if managed.scheduler is not None:
-                managed.scheduler.close()
             with self._lock:
-                managed.state = state
+                managed.persisted = recorded == state
+                if recorded is not None:
+                    del self._runs[managed.run_id]
                 managed.done.set()
-                self._active.get(managed.user, set()).discard(managed.run_id)
                 self._admit_next_locked(managed.user)
+
+    def _record_outcome(self, run_id: str, state: str, outcome: dict) -> Optional[str]:
+        """Commit a finished run's terminal row; the state that landed.
+        A refused outcome (``database is locked``, say) is recorded as
+        ``failed`` naming the refusal; ``None`` if that fails too."""
+        try:
+            self.store.transition(run_id, state, git_sha=self._git_sha, **outcome)
+            return state
+        except Exception as refusal:  # noqa: BLE001 - recorded, not raised
+            error = "the store refused the %s outcome: %s: %s" % (
+                state, type(refusal).__name__, refusal)
+        try:
+            self.store.transition(run_id, "failed", **dict(outcome, error=error))
+            return "failed"
+        except Exception:  # noqa: BLE001 - nothing left to record it in
+            return None
 
     @staticmethod
     def _partial_export(handle) -> dict:
@@ -252,27 +285,25 @@ class JobRegistry(object):
         return {"partial": True, "samples": samples}
 
     def _admit_next_locked(self, user: str) -> None:
-        queue = self._queues.get(user)
-        while (
-            queue
-            and not self._shutting_down
-            and len(self._active.get(user, set())) < self.per_user_limit
-        ):
-            next_id = queue.popleft()
-            managed = self._runs[next_id]
-            if managed.state != "queued":  # cancelled while waiting
-                continue
+        """Start the user's oldest queued runs while a slot is free."""
+        if self._shutting_down:
+            return
+        runs = [managed for managed in self._runs.values() if managed.user == user]
+        running = sum(not managed.done.is_set() for managed in runs
+                      if managed.handle is not None)
+        queued = [managed for managed in runs if managed.handle is None]
+        for managed in queued[:max(0, self.per_user_limit - running)]:
             self._start_locked(managed)
 
     # -- queries -------------------------------------------------------
 
     def status(self, run_id: str) -> dict:
         """The stored record, augmented with a live progress snapshot
-        (and the registry's in-flight state) while the run is resident."""
+        while the run is running."""
         record = self.store.service_run(run_id)
         with self._lock:
             managed = self._runs.get(run_id)
-        if managed is not None and managed.handle is not None and not managed.done.is_set():
+        if managed is not None and managed.handle is not None:
             record["progress"] = progress_to_dict(managed.handle.progress())
         return record
 
@@ -286,7 +317,7 @@ class JobRegistry(object):
     # -- cancellation --------------------------------------------------
 
     def cancel(self, run_id: str) -> dict:
-        """Cancel a queued or running run; terminal runs are a no-op.
+        """Cancel a queued or running run; finished runs are a no-op.
 
         Queued runs move straight to ``cancelled`` (they never held a
         scheduler).  Running runs get a cooperative
@@ -296,84 +327,58 @@ class JobRegistry(object):
         """
         with self._lock:
             managed = self._runs.get(run_id)
-            if managed is None:
-                record = self.store.service_run(run_id)  # raises for unknown ids
-                if record["state"] not in TERMINAL_STATES:  # pragma: no cover
-                    raise ServiceError(
-                        "run %s is %s but not resident in this server"
-                        % (run_id, record["state"])
-                    )
-                return record
-            if managed.state == "queued":
-                self._cancel_queued_locked(managed)
-                return self.store.service_run(run_id)
-            if managed.state == "running":
-                managed.handle.cancel()
-                record = self.store.service_run(run_id)
-                record["cancel_requested"] = True
-                return record
-        return self.store.service_run(run_id)
+            if managed is not None:
+                self._cancel_locked(managed)
+        record = self.store.service_run(run_id)  # raises for unknown ids
+        if managed is not None and managed.handle is not None:
+            record["cancel_requested"] = True
+        return record
 
-    def _cancel_queued_locked(self, managed: _ManagedRun) -> None:
-        queue = self._queues.get(managed.user)
-        if queue is not None and managed.run_id in queue:
-            queue.remove(managed.run_id)
+    def _cancel_locked(self, managed: _ManagedRun) -> None:
+        if managed.handle is not None:
+            managed.handle.cancel()
+            return
         self.store.transition(
             managed.run_id, "cancelled", error="cancelled while queued"
         )
-        managed.state = "cancelled"
+        del self._runs[managed.run_id]
         managed.started.set()
         managed.done.set()
 
     # -- event streaming -----------------------------------------------
 
     def events(self, run_id: str) -> Iterator[RunEvent]:
-        """Blocking iterator of a run's typed events: full replay,
-        then live, ending after the terminal event.
+        """Blocking iterator of a run's typed events, ending after the
+        terminal event; an unknown id raises here, before iteration.
 
-        The terminal :class:`~repro.core.progress.RunCompleted` (or,
-        for a failed run, the end of the stream) is released only once
-        the watcher has persisted the outcome, so a consumer that
-        reads :meth:`status` on it sees the final record.
-
-        Non-resident runs (history from before a restart) yield one
-        synthesized :class:`~repro.core.progress.RunCompleted` carrying
-        the stored counters; queued runs block until admission, then
-        stream normally.  Safe for any number of concurrent consumers.
+        A queued run blocks until admission; a running run replays its
+        buffered events, then follows live.  The terminal
+        :class:`~repro.core.progress.RunCompleted` (or, for a failed
+        run, the end of the stream) is released only once the watcher
+        has persisted the outcome, so a consumer that reads
+        :meth:`status` on it sees the final record.  A finished run, of
+        this process or a previous server, streams from its stored
+        record: for a serial executor, the live stream event for event.
+        Safe for any number of concurrent consumers.
         """
         with self._lock:
             managed = self._runs.get(run_id)
-        if managed is None:
-            yield self._synthesized_completion(self.store.service_run(run_id))
-            return
+        if managed is not None:
+            return self._follow(managed)
+        return _recorded_events(self.store.service_run(run_id))
+
+    def _follow(self, managed: _ManagedRun) -> Iterator[RunEvent]:
         managed.started.wait()
-        if managed.handle is None:
-            # Cancelled (or shut down) while queued: never had events.
-            yield self._synthesized_completion(self.store.service_run(run_id))
+        if managed.handle is None:  # cancelled while queued: a row only
+            yield from _recorded_events(self.store.service_run(managed.run_id))
             return
         for event in managed.handle.events():
             if isinstance(event, RunCompleted):
                 managed.done.wait()  # persist, then announce
+                if not managed.persisted:
+                    return  # the store holds another end, or none
             yield event
         managed.done.wait()  # a failed run ends without RunCompleted
-
-    @staticmethod
-    def _synthesized_completion(record: dict) -> RunCompleted:
-        state = record["state"]
-        if state not in TERMINAL_STATES:
-            raise ServiceError(
-                "run %s is %s but has no live event stream in this server"
-                % (record["run_id"], state)
-            )
-        simulated = record.get("simulated") or 0
-        cache_hits = record.get("cache_hits") or 0
-        return RunCompleted(
-            total=simulated + cache_hits,
-            simulated=simulated,
-            cache_hits=cache_hits,
-            cancelled=state == "cancelled",
-            wall_seconds=record.get("wall_seconds") or 0.0,
-        )
 
     # -- shutdown ------------------------------------------------------
 
@@ -384,21 +389,15 @@ class JobRegistry(object):
 
         This mirrors the blocking API's ctrl-C semantics: nothing a
         simulation already produced is lost, and the store ends with
-        every resident run in a terminal state.
+        every run of this registry in a terminal state.
         """
         with self._lock:
             self._shutting_down = True
-            queued = [managed for managed in self._runs.values()
-                      if managed.state == "queued"]
-            for managed in queued:
-                self._cancel_queued_locked(managed)
-            running = [managed for managed in self._runs.values()
-                       if managed.state == "running"]
-            for managed in running:
-                managed.handle.cancel()
-        for managed in running:
-            if managed.watcher is not None:
-                managed.watcher.join(timeout)
+            live = list(self._runs.values())
+            for managed in live:
+                self._cancel_locked(managed)
+        for managed in live:
+            managed.done.wait(timeout)
 
     def __enter__(self) -> "JobRegistry":
         return self

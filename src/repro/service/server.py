@@ -15,6 +15,7 @@ The API::
     GET  /api/runs/{id}           stored record + live progress snapshot
     POST /api/runs/{id}/cancel    cooperative cancel (queued or running)
     GET  /api/runs/{id}/events    Server-Sent Events: replay, then live
+                                  (a finished run: its stored stream)
 
 The runs live in the run-history store, so the regression-intelligence
 views over its completed runs are readable too::
@@ -34,11 +35,13 @@ frames each :class:`~repro.core.progress.RunEvent` as ::
 
 — one frame per event, terminated by the ``run_completed`` frame,
 which the registry releases only once the run's final record is
-persisted.  Every connection is answered on its own thread, so an SSE
-response simply writes the registry's blocking event iterator to the
-socket: a slow consumer never stalls the run (RunHandle buffers the
-replay), several consumers can follow one run live, and a consumer
-that hangs up frees its thread at the next event.
+persisted (a failed run's stream just ends).  A finished run's stream,
+whichever server ran it, is rebuilt from its stored record.  Every
+connection is answered on its own thread, so an SSE response simply
+writes the registry's blocking event iterator to the socket: a slow
+consumer never stalls the run (RunHandle buffers the replay), several
+consumers can follow one run live, and a consumer that hangs up frees
+its thread at the next event.
 
 Connections are ``Connection: close`` — one request per connection.
 That is deliberate: the expensive thing here is a simulation sweep,
@@ -316,14 +319,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(405, "method %s not allowed here" % self.command)
 
     @staticmethod
-    def _registry_call(call, *args):
-        """A registry call with "unknown run" mapped to 404 and state
-        refusals to 409."""
+    def _registry_call(call, run_id: str):
+        """A registry call on one run; its only refusal is an unknown
+        run, a 404."""
         try:
-            return call(*args)
+            return call(run_id)
         except ServiceError as error:
-            message = str(error)
-            raise _HttpError(404 if "unknown run" in message else 409, message)
+            raise _HttpError(404, str(error))
 
     def _submit(self, user: Optional[str], body: bytes) -> None:
         data = self._json_body(body)
@@ -344,25 +346,20 @@ class _Handler(BaseHTTPRequestHandler):
     # -- Server-Sent Events --------------------------------------------
 
     def _stream_events(self, run_id: str) -> None:
-        registry = self.server.registry
-        # Resolve "unknown run" before committing to a 200 stream.
-        self._registry_call(registry.status, run_id)
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        events = registry.events(run_id)
+        # The registry resolves the run here, so an unknown id is a 404
+        # before the stream commits to a 200.
+        events = self._registry_call(self.server.registry.events, run_id)
         try:
+            self.send_response(200)
+            self.send_header("Content-Type", "text/event-stream")
+            self.send_header("Cache-Control", "no-cache")
+            self.send_header("Connection", "close")
+            self.end_headers()
             for event in events:
                 payload = event_to_dict(event)
                 frame = "event: %s\ndata: %s\n\n" % (
                     payload["type"], json.dumps(payload, sort_keys=True)
                 )
                 self.wfile.write(frame.encode("utf-8"))
-        except ServiceError:
-            # The run vanished mid-setup: end the stream, the consumer
-            # re-queries state over the REST side.
-            pass
         finally:
             events.close()  # a consumer that hung up stops following now

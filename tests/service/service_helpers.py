@@ -15,11 +15,13 @@ threaded HTTP server) against a temporary database, exactly like
 ``repro serve`` but in-process; ``graceful=False`` teardown leaves the
 store rows as an unclean kill would, for the restart/resume tests.
 ``store_class`` swaps in a :class:`HistoryStore` subclass (a deliberately
-slow one pins the persist-then-announce contract).
+slow one pins the persist-then-announce contract; a refusing one pins
+what a run whose outcome cannot be stored announces).
 """
 
 import http.client
 import json
+import sqlite3
 import threading
 import time
 
@@ -99,6 +101,18 @@ class SlowTerminalStore(HistoryStore):
     def transition(self, run_id, state, **fields):
         if state in TERMINAL_STATES:
             time.sleep(self.delay)
+        return super().transition(run_id, state, **fields)
+
+
+class RefusingTerminalStore(HistoryStore):
+    """Refuses the terminal transitions named in ``refuse`` the way a
+    database another writer holds locked does."""
+
+    refuse = frozenset(("completed",))
+
+    def transition(self, run_id, state, **fields):
+        if state in self.refuse:
+            raise sqlite3.OperationalError("database is locked")
         return super().transition(run_id, state, **fields)
 
 

@@ -5,16 +5,20 @@ service_helpers: a gated run stays ``running`` until the test releases
 it, a stepped run finishes exactly as many jobs as permits released,
 and shutdown ordering waits on the handle's cancel request, not on a
 sleep.  A store that commits terminal states slowly pins that a run's
-event stream ends only after its outcome is persisted.
+event stream ends only after its outcome is persisted, and one that
+refuses them pins that an unstored end is never announced.  Finished
+runs are not resident: their streams come from the store.
 """
 
+import gc
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from repro.core.cache import ResultCache
-from repro.core.progress import JobFinished, JobStarted, RunCompleted
+from repro.core.progress import CacheHit, JobFinished, JobStarted, RunCompleted
 from repro.core.scheduler import Scheduler
 from repro.errors import EvaluationError, ServiceError
 from repro.service.registry import DEFAULT_USER, JobRegistry, normalize_user
@@ -23,6 +27,7 @@ from repro.history import HistoryStore
 from service_helpers import (
     FailingExecutor,
     GateExecutor,
+    RefusingTerminalStore,
     SlowTerminalStore,
     StepExecutor,
     cancel_requested,
@@ -45,6 +50,16 @@ def wait_terminal(registry, run_id, timeout=30.0):
             return record
         time.sleep(0.01)
     raise AssertionError("run %s never reached a terminal state" % run_id)
+
+
+def follow_stepped_run(registry, step):
+    """Submit a tiny run, subscribe while ``step`` holds it live, then
+    release it; the run id and every event its live stream announces."""
+    spec = tiny_spec()
+    run_id = registry.submit("alice", spec)["run_id"]
+    stream = registry.events(run_id)  # resolved while running
+    step.steps.release(len(spec.jobs()))
+    return run_id, list(stream)
 
 
 class TestSubmitAndComplete:
@@ -268,6 +283,36 @@ class TestPersistThenAnnounce:
         assert record["state"] == "failed"
         assert "simulated executor crash" in record["error"]
 
+    def test_refused_completion_is_stored_as_failed_and_not_announced(
+        self, tmp_path
+    ):
+        step = StepExecutor()
+        factory = lambda: Scheduler(executor=step, cache=ResultCache())  # noqa: E731
+        with RefusingTerminalStore(str(tmp_path / "locked.db")) as store:
+            with JobRegistry(store, factory) as registry:
+                run_id, events = follow_stepped_run(registry, step)
+                record = registry.status(run_id)
+                assert registry._runs == {}  # a terminal row landed
+        assert isinstance(events[-1], JobFinished)  # no RunCompleted
+        assert record["state"] == "failed"
+        assert "completed" in record["error"]
+        assert "database is locked" in record["error"]
+
+    def test_unstorable_end_leaves_the_run_resident_and_unannounced(
+        self, tmp_path
+    ):
+        class Unrecordable(RefusingTerminalStore):
+            refuse = frozenset(("completed", "failed"))
+
+        step = StepExecutor()
+        factory = lambda: Scheduler(executor=step, cache=ResultCache())  # noqa: E731
+        with Unrecordable(str(tmp_path / "locked.db")) as store:
+            with JobRegistry(store, factory) as registry:
+                run_id, events = follow_stepped_run(registry, step)
+                assert run_id in registry._runs
+                assert registry.status(run_id)["state"] == "running"
+        assert isinstance(events[-1], JobFinished)  # no RunCompleted
+
 
 class TestShutdownAndRestart:
     def test_shutdown_cancels_running_and_queued(self, store):
@@ -289,21 +334,70 @@ class TestShutdownAndRestart:
             registry.submit("alice", tiny_spec())
 
     def test_restarted_registry_synthesizes_history_events(self, store):
-        spec = tiny_spec()
-        with JobRegistry(store) as registry:
-            run_id = registry.submit("alice", spec)["run_id"]
-            wait_terminal(registry, run_id)
-        # a fresh registry over the same store: the run is not resident
+        """A serial run's stream is the same event for event read live,
+        read after it finished, and read from a restarted registry: a
+        cold run, then a warm one mixing cache hits, seed-collapsed
+        hits and simulations."""
+        step = StepExecutor()  # serial order, one job per permit
+        cache = ResultCache()
+        factory = lambda: Scheduler(executor=step, cache=cache)  # noqa: E731
+        specs = (tiny_spec(), tiny_spec(tools=("p4", "express"), seeds=(0, 1)))
+        streams = []
+        with JobRegistry(store, factory) as registry:
+            for spec in specs:
+                run_id = registry.submit("alice", spec)["run_id"]
+                live = registry.events(run_id)  # resolved while running
+                step.steps.release(len(spec.jobs()))
+                live = list(live)
+                assert run_id not in registry._runs
+                streams.append((run_id, live, list(registry.events(run_id))))
         with JobRegistry(store) as second:
-            events = list(second.events(run_id))
-            record = second.status(run_id)
-        assert len(events) == 1
-        terminal = events[0]
-        assert isinstance(terminal, RunCompleted)
-        assert terminal.total == len(spec.jobs())
-        assert terminal.simulated == record["simulated"]
-        assert not terminal.cancelled
+            for run_id, live, late in streams:
+                assert late == live
+                assert list(second.events(run_id)) == live
+        cold, warm = (live for _, live, _ in streams)
+        assert [type(e) for e in cold[:2]] == [JobStarted, JobFinished]
+        assert cold[-1].total == cold[-1].simulated == len(specs[0].jobs())
+        kinds = {type(e) for e in warm}
+        assert {CacheHit, JobStarted, JobFinished, RunCompleted} == kinds
+        assert warm[-1].cache_hits > len(specs[0].jobs())
+        assert not warm[-1].cancelled
+
+    def test_failed_run_never_streams_a_completion(self, store):
+        factory = lambda: Scheduler(executor=FailingExecutor(), cache=ResultCache())  # noqa: E731
+        with JobRegistry(store, factory) as registry:
+            run_id = registry.submit("alice", tiny_spec())["run_id"]
+            live = list(registry.events(run_id))
+            late = list(registry.events(run_id))
+        with JobRegistry(store) as second:
+            restarted = list(second.events(run_id))
+            assert second.status(run_id)["state"] == "failed"
+        assert live == late == restarted == []
 
     def test_per_user_limit_must_be_positive(self, store):
         with pytest.raises(ServiceError, match=">= 1"):
             JobRegistry(store, per_user_limit=0)
+
+
+class TestBoundedRegistry:
+    RUNS = 50
+
+    def test_finished_runs_are_rows_not_residents(self, store):
+        spec = tiny_spec()
+        with JobRegistry(store) as registry:
+            for _ in range(3):  # a warm cache, and every lazy import done
+                list(registry.events(registry.submit("alice", spec)["run_id"]))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(self.RUNS):
+                    run_id = registry.submit("alice", spec)["run_id"]
+                    events = list(registry.events(run_id))
+                    assert events[-1].cache_hits == len(spec.jobs())
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert registry._runs == {}
+        assert retained < 1024 * self.RUNS, retained

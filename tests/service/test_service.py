@@ -15,6 +15,8 @@ exactly like external tooling would.  Covered here:
   that never finished (cache-hit counters prove it);
 * ``wait()`` returns the persisted final record even when the store
   commits the terminal state slowly;
+* a finished run's stream equals its live one and costs one record
+  read;
 * a consumer that hangs up mid-stream stops following the run at the
   next event, not when the run ends;
 * a burst of connects waits in the listen backlog instead of having
@@ -196,6 +198,31 @@ class TestJourney:
         assert final["spec_hash"] == client.run(first)["spec_hash"]
 
 
+class TestFinishedRunStream:
+    def test_late_stream_reads_the_record_once_and_equals_the_live_one(
+        self, harness_factory
+    ):
+        first = harness_factory(db_name="shared.db")
+        client = first.client()
+        run_id = client.submit(tiny_spec())
+        live = list(client.events(run_id))
+        client.wait(run_id)
+        first.stop()
+        # a restarted server holds the run as a row only, like any
+        # server once a run finished
+        second = harness_factory(db_name="shared.db")
+        reads = []
+        service_run = second.store.service_run
+
+        def counting(run_id):
+            reads.append(run_id)
+            return service_run(run_id)
+
+        second.store.service_run = counting
+        assert list(second.client().events(run_id)) == live
+        assert reads == [run_id]
+
+
 class TestAdmissionOverHttp:
     def test_per_user_limit_queues_and_users_are_independent(
         self, harness_factory
@@ -363,8 +390,8 @@ class TestRestartResume:
         orphan = client2.run(run_id)
         assert orphan["state"] == "failed"
         assert "unclean" in orphan["error"]
-        # history still streams: one synthesized terminal event
-        assert len(list(client2.events(run_id))) == 1
+        # a failed run's history stream is empty, as its live one ends
+        assert list(client2.events(run_id)) == []
 
         resubmit = client2.submit(spec)
         final = client2.wait(resubmit)
