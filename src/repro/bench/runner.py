@@ -3,12 +3,13 @@
 The paper experiments (tables/figures) are fixed artifacts addressed
 by id; :func:`run_evaluation` is the open-ended counterpart, driving
 an arbitrary :class:`~repro.core.spec.EvaluationSpec` through the
-scheduler with an optional worker pool and shared cache.
+scheduler, over one worker per CPU by default, with an optional
+shared cache.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Union
 
 from repro.bench.experiments import EXPERIMENTS, ExperimentResult
 from repro.errors import ConfigurationError
@@ -56,7 +57,7 @@ def run_experiments(
 
 def run_evaluation(
     spec,
-    jobs: int = 1,
+    jobs: Union[int, str] = "auto",
     backend: Optional[str] = None,
     cache=None,
     cache_dir: Optional[str] = None,
@@ -74,8 +75,10 @@ def run_evaluation(
     spec:
         An :class:`~repro.core.spec.EvaluationSpec`.
     jobs:
-        Workers (1 = serial in-process execution; ``"auto"`` = one
-        per CPU).
+        Workers: ``"auto"`` (the default) is one per CPU this process
+        may use, so a one-CPU machine runs serially in-process; 1
+        forces serial execution.  A pass whose jobs are all cached
+        never starts the pool.
     backend:
         Executor backend name (one of
         :data:`~repro.core.executors.EXECUTOR_BACKENDS`); default is

@@ -95,9 +95,9 @@ streaming execution:
   RunHandle).  --progress narrates the run live on stderr —
   done/total, simulated vs cache-hit counts and an ETA — while stdout
   keeps only the report (safe to pipe/--json).  --backend picks the
-  executor: serial, process (worker processes; the default for
-  --jobs > 1) or remote (see below).  --jobs auto sizes the pool to
-  the machine's CPUs.  Ctrl-C cancels cooperatively: in-flight jobs
+  executor: serial, process (worker processes; the default for more
+  than one worker) or remote (see below).  --jobs defaults to auto,
+  one worker per CPU.  Ctrl-C cancels cooperatively: in-flight jobs
   finish and persist, so an interrupted sweep resumes over the same
   --cache-dir exactly like a killed one.
 
@@ -106,7 +106,8 @@ distributed execution:
   jobs are published as tickets on the shared queue directory and any
   number of `repro worker` processes (same --queue, same --cache-dir)
   pull, execute and publish them back.  --jobs sizes the admission
-  window (how many tickets stay published), not a local pool.  A
+  window (how many tickets stay published), not a local pool: set it
+  to the fleet's size (auto counts this machine's CPUs).  A
   worker that dies mid-job is detected by its stopped heartbeat and
   its tickets are re-claimed by the fleet; Ctrl-C revokes every
   unclaimed ticket (claimed ones finish and persist).
@@ -140,17 +141,17 @@ distributed execution:
                           help="enable the seeded stochastic network models "
                                "at SCALE x their nominal amplitude (bare "
                                "--noise means 1.0; default off)")
-    evaluate.add_argument("--jobs", type=_jobs_argument, default=1,
+    evaluate.add_argument("--jobs", type=_jobs_argument, default="auto",
                           metavar="N|auto",
-                          help="workers for the simulations (default 1; "
-                               "'auto' = one per CPU); the pool starts once "
-                               "and is reused across every scheduler pass "
-                               "of the run")
+                          help="workers for the simulations (default auto: "
+                               "one per CPU, serial on one CPU); the pool "
+                               "starts at the first simulation and is "
+                               "reused across the run")
     evaluate.add_argument("--backend",
                           choices=("serial", "process", "remote"),
                           default=None,
                           help="executor backend (default: serial for "
-                               "--jobs 1, process otherwise; remote "
+                               "one worker, process otherwise; remote "
                                "coordinates `repro worker` processes "
                                "over --queue)")
     evaluate.add_argument("--queue", metavar="DIR", default=None,
@@ -349,10 +350,13 @@ evaluation as a service:
   cooperatively (in-flight jobs finish and persist), queued runs are
   marked cancelled, then the server exits 0.
 
-  With --backend remote --queue DIR the server stops executing jobs
+  Every run shares one executor: a pool of --jobs worker processes
+  (default one per CPU) started at boot and shut down at exit.  With
+  --backend remote --queue DIR the server stops executing jobs
   itself and fans every submitted run out to the `repro worker` fleet
-  watching that queue (same --cache-dir on both sides); submit,
-  streaming, cancellation and history behave identically.
+  watching that queue (same --cache-dir on both sides), --jobs sizing
+  its ticket window as for `repro evaluate`; submit, streaming,
+  cancellation and history behave identically.
 
   example:
     repro serve --port 8765 --db runs.db --cache-dir .repro-cache \\
@@ -374,14 +378,15 @@ evaluation as a service:
     serve.add_argument("--shards", type=int, default=None,
                        help="split --cache-dir into N sub-stores (default: "
                             "adopt the directory's recorded shard count)")
-    serve.add_argument("--jobs", type=_jobs_argument, default=1,
+    serve.add_argument("--jobs", type=_jobs_argument, default="auto",
                        metavar="N|auto",
-                       help="workers per evaluation run (default 1)")
+                       help="workers shared by every run (default auto: "
+                            "one per CPU, serial on one CPU)")
     serve.add_argument("--backend",
                        choices=("serial", "process", "remote"),
                        default=None,
-                       help="executor backend per run (default: serial "
-                            "for --jobs 1, process otherwise; remote "
+                       help="executor backend shared by every run (default: "
+                            "serial for one worker, process otherwise; remote "
                             "fans every run out to `repro worker` "
                             "processes over --queue)")
     serve.add_argument("--queue", metavar="DIR", default=None,
@@ -1003,20 +1008,13 @@ def _cmd_serve(args) -> int:
             cache = ResultCache.on_disk(args.cache_dir, shards=args.shards)
         else:
             cache = ResultCache()
-
-        def scheduler_factory() -> Scheduler:
-            return Scheduler(
-                executor=create_executor(args.jobs, backend=args.backend,
-                                         queue_dir=args.queue),
-                cache=cache,
-            )
-
-        # Fail a bad backend/queue combination at boot, not inside the
-        # first submitted run.
-        scheduler_factory().executor.close()
-
+        # One executor for every run, built at boot (a bad backend/queue
+        # fails here), its workers started before any thread exists.
+        executor = create_executor(args.jobs, backend=args.backend,
+                                   queue_dir=args.queue)
+        executor.start()
         registry = JobRegistry(
-            store, scheduler_factory=scheduler_factory,
+            store, lambda: Scheduler(executor=executor, cache=cache),
             per_user_limit=args.user_limit,
         )
         server = ServiceServer(registry, host=args.host, port=args.port)
@@ -1055,6 +1053,7 @@ def _cmd_serve(args) -> int:
         # Joins the watcher threads: in-flight jobs finish and persist.
         registry.shutdown()
     finally:
+        executor.close()
         store.close()
     print("service stopped; run history is in %s" % args.db)
     return 0

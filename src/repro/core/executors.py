@@ -32,8 +32,8 @@ All three pass the protocol-conformance suite in
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import os
+import threading
 import time
 from collections import deque
 from typing import (
@@ -139,6 +139,10 @@ class Executor(object):
         early must drop work that has not started."""
         raise NotImplementedError
 
+    def start(self) -> None:
+        """Acquire backend resources now instead of at the first
+        dispatch (a no-op for backends without any)."""
+
     def close(self) -> None:
         """Release backend resources (idempotent; a closed executor
         may be reused — resources are rebuilt lazily)."""
@@ -166,23 +170,56 @@ class SerialExecutor(Executor):
             yield execute_job_instrumented(job, retries)
 
 
+def _workload_of(job: MeasurementJob) -> Optional[tuple]:
+    """What the application jobs of one (platform, seed) cell, one per
+    tool, have in common (None for the primitive kinds, which build no
+    host-side workload)."""
+    if job.kind != "application":
+        return None
+    return job.platform, job.processors, job.params, job.seed, job.noise
+
+
 class ChunkedExecutor(Executor):
     """A backend that ships jobs in chunks through a sliding window.
 
     The one chunk/window policy of the pool backends: each dispatch
-    carries :attr:`chunk_jobs` jobs, and ``max_workers *
+    carries up to :attr:`chunk_jobs` jobs, and ``max_workers *
     window_factor`` chunks stay in flight.  Subclasses supply how a
     chunk is dispatched, collected and withdrawn to :meth:`_windowed`.
     """
 
-    #: Jobs shipped per dispatch: amortizes the per-round-trip cost
-    #: (IPC, a queue ticket) without delaying result streaming much.
+    #: Jobs shipped per dispatch, at most: amortizes the per-round-trip
+    #: cost (IPC, a queue ticket) without delaying result streaming
+    #: much.
     chunk_jobs = 4
 
     #: Chunks kept in flight per worker: deep enough that no worker
     #: idles while results stream back, shallow enough that a huge
     #: grid never materializes on this side.
     window_factor = 4
+
+    def _chunks(self, jobs: Iterable[MeasurementJob]) -> Iterator[List[MeasurementJob]]:
+        """Cut ``jobs`` into chunks of at most :attr:`chunk_jobs`.
+
+        A chunk is cut early rather than between two application jobs
+        that differ only in their tool (the tools of one platform and
+        seed cell): those share per-process memos, such as the JPEG
+        workload's encoded strips, which only a worker that runs them
+        all reuses.  A run of such jobs longer than a chunk is split.
+        """
+        chunk: List[MeasurementJob] = []
+        for job in jobs:
+            if len(chunk) == self.chunk_jobs:
+                cut = len(chunk)
+                workload = _workload_of(job)
+                while cut and workload is not None and _workload_of(chunk[cut - 1]) == workload:
+                    cut -= 1
+                cut = cut or len(chunk)
+                yield chunk[:cut]
+                chunk = chunk[cut:]
+            chunk.append(job)
+        if chunk:
+            yield chunk
 
     def _windowed(
         self,
@@ -202,14 +239,14 @@ class ChunkedExecutor(Executor):
         still running.  A chunk that failed at job *k* yields jobs
         0..*k*-1 before its error is raised.
         """
-        jobs = iter(jobs)
+        chunks = self._chunks(jobs)
         in_flight: deque = deque()
         window = self.max_workers * self.window_factor
         try:
             while True:
                 while len(in_flight) < window:
-                    chunk = list(itertools.islice(jobs, self.chunk_jobs))
-                    if not chunk:
+                    chunk = next(chunks, None)
+                    if chunk is None:
                         break
                     in_flight.append(dispatch(chunk))
                 if not in_flight:
@@ -259,42 +296,75 @@ class ProcessPoolExecutor(ChunkedExecutor):
         if max_workers < 1:
             raise EvaluationError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        # Schedulers on several threads may share one executor (every
+        # run of `repro serve`): without the lock, two passes that meet
+        # a missing pool at once would each build one, and one leaks.
+        self._lock = threading.Lock()
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None  # guarded-by: _lock
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers
-            )
-        return self._pool
+        with self._lock:
+            if self._pool is None:
+                self._pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.max_workers
+                )
+            return self._pool
+
+    def start(self) -> None:
+        """Start the worker processes now.
+
+        ``concurrent.futures`` forks its workers at the first submit;
+        a caller that is about to start threads of its own (a server)
+        starts them first, so no fork copies a thread mid-operation.
+        """
+        pool = self._ensure_pool()
+        for future in [pool.submit(os.getpid) for _ in range(self.max_workers)]:
+            future.result()
+
+    def _discard(self, pool: concurrent.futures.ProcessPoolExecutor) -> None:
+        """Shut a pool down, forgetting it unless a fresh one has
+        already replaced it."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown()
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def submit(
         self, jobs: Iterable[MeasurementJob], retries: int = 1
     ) -> Iterator[JobOutcome]:
-        def dispatch(chunk: List[MeasurementJob]) -> concurrent.futures.Future:
-            return self._ensure_pool().submit(execute_job_chunk, chunk, retries)
+        # A handle is (pool, future).  A dead worker poisons its whole
+        # pool: the pool that broke is dropped, so the next pass
+        # starts fresh instead of failing forever, while a pool some
+        # other pass has already rebuilt is left alone.
+        def dispatch(chunk: List[MeasurementJob]) -> tuple:
+            pool = self._ensure_pool()
+            try:
+                return pool, pool.submit(execute_job_chunk, chunk, retries)
+            except concurrent.futures.BrokenExecutor:
+                self._discard(pool)
+                raise
 
-        try:
-            yield from self._windowed(
-                jobs,
-                dispatch,
-                concurrent.futures.Future.result,
-                # Cancels only a chunk that has not started; one
-                # already executing runs to completion, which is as
-                # good as process pools offer.
-                concurrent.futures.Future.cancel,
-            )
-        except concurrent.futures.BrokenExecutor:
-            # A dead worker poisons the whole pool: drop it so the
-            # next pass starts fresh instead of failing forever.
-            self.close()
-            raise
+        def collect(handle: tuple) -> ChunkResult:
+            pool, future = handle
+            try:
+                return future.result()
+            except concurrent.futures.BrokenExecutor:
+                self._discard(pool)
+                raise
+
+        # Cancels only a chunk that has not started; one already
+        # executing runs to completion, which is as good as process
+        # pools offer.
+        return self._windowed(
+            jobs, dispatch, collect, lambda handle: handle[1].cancel()
+        )
 
 
 #: Backend names :func:`create_executor` understands.
@@ -304,13 +374,16 @@ EXECUTOR_BACKENDS = ("serial", "process", "remote")
 def resolve_workers(jobs: Union[int, str, None]) -> int:
     """Normalize a ``--jobs``-style request to a worker count.
 
-    ``"auto"`` (or ``None``) means one worker per CPU.  Anything else
-    must be a positive integer — the check runs *here*, before any
-    spec expansion or pool construction, so a bad value fails with a
-    clear :class:`~repro.errors.ReproError` instead of an unhelpful
-    downstream crash.
+    ``"auto"`` (or ``None``) means one worker per CPU this process may
+    run on, so a cpuset-limited container does not oversubscribe.
+    Anything else must be a positive integer — the check runs *here*,
+    before any spec expansion or pool construction, so a bad value
+    fails with a clear :class:`~repro.errors.ReproError` instead of an
+    unhelpful downstream crash.
     """
     if jobs is None or (isinstance(jobs, str) and jobs.strip().lower() == "auto"):
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise EvaluationError(

@@ -50,7 +50,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.cache import MISSING, CacheBackend, ResultCache
 from repro.core.executors import (
@@ -148,14 +148,22 @@ class RunHandle(object):
     beginning); :meth:`progress` and :meth:`values` snapshot state
     without consuming anything.
 
+    Jobs are narrated in first-occurrence order whatever order the
+    executor finishes them in: a job's events wait until every job met
+    before it has ended, so a pool streams exactly what a serial run
+    does (and what a stored run replays).  :meth:`progress` counts
+    dispatches as they happen.
+
     Cancellation is cooperative: :meth:`cancel` returns immediately,
     the run stops *dispatching* new jobs, jobs already handed to the
     executor finish and persist to the cache, and the run ends with a
     :class:`~repro.core.progress.RunCompleted` event flagged
     ``cancelled``.  :meth:`result` then raises
     :class:`~repro.errors.RunCancelled` — re-running the spec over the
-    same cache resumes exactly like a killed sweep.  Cancelling after
-    the last job was dispatched is a no-op (nothing left to drop).
+    same cache resumes exactly like a killed sweep.  A cancel seen
+    while outcomes are still due cancels the run even when a pool's
+    window already holds every job; cancelling after the last outcome
+    arrived is a no-op.
     """
 
     def __init__(
@@ -174,6 +182,11 @@ class RunHandle(object):
         self._total = total
         self._values: Dict[MeasurementJob, Optional[float]] = {}
         self._events = []
+        # Jobs met whose events are not all out, oldest first; the
+        # events held back for them; those of them that have ended.
+        self._unreleased: deque = deque()
+        self._held: Dict[MeasurementJob, list] = {}
+        self._ended = set()
         self._cond = threading.Condition()
         self._cancel_event = threading.Event()
         self._cancelled = False
@@ -198,16 +211,19 @@ class RunHandle(object):
             self._error = error
         finally:
             with self._cond:
+                released = self._flush()  # a failed run's tail
                 self._finished = True
                 if self._elapsed is None:
                     self._elapsed = time.perf_counter() - self._started_at
                 self._cond.notify_all()
+            self._notify(released)
 
-    def _notify(self, event: RunEvent) -> None:
+    def _notify(self, events: List[RunEvent]) -> None:
         # Outside the lock: a misbehaving callback must not be able to
         # deadlock progress()/events() consumers.
         if self._on_event is not None:
-            self._on_event(event)
+            for event in events:
+                self._on_event(event)
 
     def _append(self, event: RunEvent) -> None:
         """Under ``self._cond``.  Skipping the replay buffer when no
@@ -217,40 +233,88 @@ class RunHandle(object):
         if self._buffer_events:
             self._events.append(event)
 
+    def _meet(self, job: MeasurementJob) -> None:
+        """Under ``self._cond``: give ``job`` its first-occurrence slot
+        (in the results and in the event stream)."""
+        self._values[job] = None
+        self._unreleased.append(job)
+
+    def _file(self, job: MeasurementJob, event: RunEvent, ended: bool) -> List[RunEvent]:
+        """Under ``self._cond``: stream one of ``job``'s events, or hold
+        it while a job met earlier has not ended; returns what went out
+        for :meth:`_notify`."""
+        if self._unreleased[0] is not job:
+            self._held.setdefault(job, []).append(event)
+            if ended:
+                self._ended.add(job)
+            return []
+        released = [event]
+        if ended:
+            self._unreleased.popleft()
+            self._drain(released)
+        return self._publish(released)
+
+    def _drain(self, released: List[RunEvent]) -> List[RunEvent]:
+        """Under ``self._cond``: add the held events of the oldest
+        unreleased jobs to ``released``, up to the first that has not
+        ended."""
+        while self._unreleased:
+            head = self._unreleased[0]
+            released.extend(self._held.pop(head, ()))
+            if head not in self._ended:
+                break
+            self._ended.discard(head)
+            self._unreleased.popleft()
+        return released
+
+    def _flush(self) -> List[RunEvent]:
+        """Under ``self._cond``: stream every held event, in order (the
+        run is over)."""
+        released: List[RunEvent] = []
+        for job in self._unreleased:
+            released.extend(self._held.pop(job, ()))
+        self._unreleased.clear()
+        self._ended.clear()
+        return self._publish(released)
+
+    def _publish(self, released: List[RunEvent]) -> List[RunEvent]:
+        for event in released:
+            self._append(event)
+        self._cond.notify_all()
+        return released
+
     def _job_started(self, job: MeasurementJob) -> None:
         with self._cond:
-            event = JobStarted(job, self._dispatched)
+            self._meet(job)
+            released = self._file(job, JobStarted(job, self._dispatched), ended=False)
             self._dispatched += 1
-            self._values[job] = None  # reserve first-occurrence order
-            self._append(event)
-            self._cond.notify_all()
-        self._notify(event)
+        self._notify(released)
 
     def _reserve(self, job: MeasurementJob) -> None:
         """Hold ``job``'s first-occurrence slot while it waits on the
         lead of its seed class, which another job dispatched."""
         with self._cond:
-            self._values[job] = None
+            self._meet(job)
 
     def _cache_hit(self, job: MeasurementJob, value: Optional[float]) -> None:
         with self._cond:
-            event = CacheHit(job, value)
+            if job not in self._values:  # met just now, not reserved
+                self._meet(job)
             self._cache_hits += 1
             self._values[job] = value
-            self._append(event)
-            self._cond.notify_all()
-        self._notify(event)
+            released = self._file(job, CacheHit(job, value), ended=True)
+        self._notify(released)
 
     def _job_finished(self, job: MeasurementJob, outcome: JobOutcome) -> None:
         with self._cond:
-            event = JobFinished(
-                job, outcome.value, outcome.wall_seconds, outcome.attempts
-            )
             self._simulated += 1
             self._values[job] = outcome.value
-            self._append(event)
-            self._cond.notify_all()
-        self._notify(event)
+            released = self._file(
+                job,
+                JobFinished(job, outcome.value, outcome.wall_seconds, outcome.attempts),
+                ended=True,
+            )
+        self._notify(released)
 
     def _mark_cancelled(self) -> None:
         with self._cond:
@@ -259,14 +323,19 @@ class RunHandle(object):
     def _drop_reservations(self, jobs: Iterable[MeasurementJob]) -> None:
         """Forget dispatched-but-never-finished jobs (a cancelled run
         whose executor dropped queued work): their ``None``
-        reservations must not read as samples."""
+        reservations must not read as samples, nor hold back the
+        events of jobs met after them."""
         with self._cond:
             for job in jobs:
                 self._values.pop(job, None)
+                self._ended.add(job)
+            released = self._publish(self._drain([]))
+        self._notify(released)
 
     def _completed(self) -> None:
         with self._cond:
             self._elapsed = time.perf_counter() - self._started_at
+            released = self._flush()
             event = RunCompleted(
                 total=self._simulated + self._cache_hits,
                 simulated=self._simulated,
@@ -276,7 +345,7 @@ class RunHandle(object):
             )
             self._append(event)
             self._cond.notify_all()
-        self._notify(event)
+        self._notify(released + [event])
 
     # -- consumer side ------------------------------------------------
 
@@ -299,7 +368,7 @@ class RunHandle(object):
 
         No new jobs are dispatched after the request is observed;
         in-flight work finishes and its samples persist to the cache.
-        Idempotent; a no-op if the run already dispatched everything.
+        Idempotent; a no-op once the run's last outcome arrived.
         """
         self._cancel_event.set()
 
@@ -412,6 +481,9 @@ class Scheduler(object):
     ----------
     executor:
         Any :class:`~repro.core.executors.Executor` (default serial).
+        Schedulers on several threads may share one built-in executor,
+        each pass with its own window; :meth:`close` closes it, so a
+        shared executor is closed by its owner instead.
     cache:
         A shared :class:`~repro.core.cache.ResultCache`; pass one
         cache to several schedulers (or several ``run`` calls) to
@@ -583,6 +655,10 @@ class Scheduler(object):
                     % self.executor.name
                 )
             finish(in_flight.popleft(), outcome)
+            if in_flight and handle._cancel_event.is_set():
+                # A pool may hold every remaining job already: the
+                # run still ends cancelled once they have persisted.
+                handle._mark_cancelled()
         if in_flight:
             if handle.cancelled:
                 # The built-in executors finish everything dispatched,

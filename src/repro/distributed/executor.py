@@ -62,7 +62,7 @@ def _rebuild_error(info: dict) -> BaseException:
 class RemoteExecutor(ChunkedExecutor):
     """Execute jobs by publishing chunks of them to a worker-pull queue.
 
-    Each ticket carries :attr:`chunk_jobs` jobs, and ``max_workers *
+    Each ticket carries up to :attr:`chunk_jobs` jobs, and ``max_workers *
     window_factor`` tickets stay published: the window is counted in
     chunks, as in the process pool.  Closing the outcome stream
     revokes every ticket no worker has claimed; claimed chunks finish

@@ -14,7 +14,8 @@ glues three things together:
   through :meth:`Scheduler.start`; the factory conventionally shares
   one thread-safe :class:`~repro.core.cache.ResultCache` across runs,
   which is what makes resubmitting an interrupted spec simulate only
-  never-finished jobs.
+  never-finished jobs, and one executor, whose pool every run
+  borrows and whose owner, not the registry, closes it.
 * **Persistence** — every lifecycle edge is written through the
   :class:`~repro.history.store.HistoryStore` state machine, with final
   counters and the exported results (partial samples for cancelled
@@ -89,7 +90,7 @@ def progress_to_dict(progress: Progress) -> dict:
 def _recorded_events(record: dict) -> Iterator[RunEvent]:
     """A finished run's event stream, rebuilt from its stored record:
     a completed run's per-job telemetry in first-occurrence order (what
-    a serial executor narrates live), then the row's counters as the
+    the live run narrated, on any executor), then the row's counters as the
     :class:`RunCompleted`.  A cancelled run's partial export has no
     telemetry; a failed run's stream ends without a terminal event."""
     state = record["state"]
@@ -153,7 +154,9 @@ class JobRegistry(object):
         The default shares one thread-safe in-memory
         :class:`~repro.core.cache.ResultCache` across all runs of
         this registry; pass a factory closing over
-        ``ResultCache.on_disk(...)`` for the durable variant.
+        ``ResultCache.on_disk(...)`` for the durable variant.  The
+        registry never closes the schedulers it gets: a factory that
+        shares an executor closes it after :meth:`shutdown`.
     per_user_limit:
         Concurrently *running* evaluations per user (>= 1); further
         submissions queue FIFO.
@@ -209,17 +212,16 @@ class JobRegistry(object):
     def _start_locked(self, managed: _ManagedRun) -> None:
         """Move one queued run to running (caller holds the lock)."""
         self.store.transition(managed.run_id, "running")
-        scheduler = self._scheduler_factory()
-        managed.handle = scheduler.start(managed.spec)
+        managed.handle = self._scheduler_factory().start(managed.spec)
         managed.started.set()
         threading.Thread(
-            target=self._finalize, args=(managed, scheduler),
+            target=self._finalize, args=(managed,),
             name="repro-service-watch-%s" % managed.run_id, daemon=True,
         ).start()
 
     # -- completion (watcher threads) ----------------------------------
 
-    def _finalize(self, managed: _ManagedRun, scheduler: Scheduler) -> None:
+    def _finalize(self, managed: _ManagedRun) -> None:
         """Persist a finished run's outcome, drop the run once a
         terminal row is committed, and admit the user's next.
 
@@ -245,15 +247,12 @@ class JobRegistry(object):
             state = "failed"
             outcome["error"] = "%s: %s" % (type(failure).__name__, failure)
         recorded = self._record_outcome(managed.run_id, state, outcome)
-        try:
-            scheduler.close()
-        finally:
-            with self._lock:
-                managed.persisted = recorded == state
-                if recorded is not None:
-                    del self._runs[managed.run_id]
-                managed.done.set()
-                self._admit_next_locked(managed.user)
+        with self._lock:
+            managed.persisted = recorded == state
+            if recorded is not None:
+                del self._runs[managed.run_id]
+            managed.done.set()
+            self._admit_next_locked(managed.user)
 
     def _record_outcome(self, run_id: str, state: str, outcome: dict) -> Optional[str]:
         """Commit a finished run's terminal row; the state that landed.

@@ -9,18 +9,23 @@ stay correct when threads interleave seeds; the sorts must give the
 partitions the stable mergesort gave.
 """
 
+import hashlib
+import multiprocessing
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.apps.jpeg import parallel as jpeg_parallel
 from repro.apps.jpeg.codec import compress_strip
 from repro.apps.jpeg.parallel import JpegCompression, synthetic_image
 from repro.apps.sorting.parallel import PsrsSort
 from repro.apps.sorting.psrs import partition_by_pivots, regular_sample, select_pivots
 from repro.core.jobs import application_job, execute_job
 from repro.core.measurements import build_platform, create_tool
+from repro.core.scheduler import ProcessPoolExecutor, Scheduler
+from repro.core.spec import EvaluationSpec
 from repro.sim import RandomStreams
 
 SMALL = dict(height=64, width=96)
@@ -98,6 +103,66 @@ class TestJpegWorkloadMemo:
         assert not any(thread.is_alive() for thread in threads)
         for out in results:
             assert [out[index] for index in range(len(jobs))] == [[s] * 2 for s in serial]
+
+
+PAPER_PLATFORMS = ("sun-ethernet", "sun-atm-lan", "alpha-fddi", "sp1-switch")
+
+
+def paper_grid():
+    return EvaluationSpec(platforms=PAPER_PLATFORMS, seeds=(0, 1, 2))
+
+
+def count_encodes(monkeypatch, log):
+    """Route every strip encode, in this process or a forked worker,
+    through a wrapper appending the strip's digest to ``log``."""
+
+    def logged(strip, *args, **kwargs):
+        key = repr((strip.shape, args, sorted(kwargs.items()))).encode()
+        with open(log, "a") as handle:
+            handle.write(hashlib.sha1(key + strip.tobytes()).hexdigest() + "\n")
+        return compress_strip(strip, *args, **kwargs)
+
+    monkeypatch.setattr(jpeg_parallel, "compress_strip", logged)
+    monkeypatch.setattr(jpeg_parallel, "_WORKLOADS", jpeg_parallel._LastWorkload())
+
+
+def assert_each_strip_encoded_at_most_once_per_platform(log):
+    with open(log) as handle:
+        encodes = handle.read().split()
+    assert encodes  # a guard that counted nothing would pass vacuously
+    distinct = len(set(encodes))
+    assert len(encodes) <= len(PAPER_PLATFORMS) * distinct, (
+        "%d strip encodes for %d distinct strips" % (len(encodes), distinct))
+
+
+def test_paper_grid_encodes_each_strip_at_most_once_per_platform(monkeypatch, tmp_path):
+    """The jpeg jobs of the paper grid (4 platforms x 3 tools x 3
+    seeds), run in this process: the tools of a (platform, seed) cell
+    share one memoized workload, so no distinct strip is encoded more
+    than once per platform."""
+    log = str(tmp_path / "encodes")
+    count_encodes(monkeypatch, log)
+    jobs = [job for job in paper_grid().jobs() if dict(job.params).get("app") == "jpeg"]
+    assert len(jobs) == len(PAPER_PLATFORMS) * 3 * 3
+    values = Scheduler().run_jobs(jobs)
+    assert all(value is not None for value in values.values())
+    assert_each_strip_encoded_at_most_once_per_platform(log)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the counting wrapper reaches pool workers only via fork")
+def test_pooled_paper_grid_encodes_each_strip_at_most_once_per_platform(
+        monkeypatch, tmp_path):
+    """The whole paper grid on a two-worker pool, counted inside the
+    workers: the memo is per process, so this holds only while a chunk
+    keeps the tools of one cell together."""
+    log = str(tmp_path / "encodes")
+    count_encodes(monkeypatch, log)
+    with Scheduler(executor=ProcessPoolExecutor(max_workers=2)) as scheduler:
+        values = scheduler.run_jobs(paper_grid().jobs())
+    assert all(value is not None for job, value in values.items()
+               if dict(job.params).get("app") == "jpeg")
+    assert_each_strip_encoded_at_most_once_per_platform(log)
 
 
 def psrs_mergesort_reference(workload, size):

@@ -180,6 +180,29 @@ class TestSubmitSemantics:
         again = list(executor.submit(jobs[:3]))
         assert len(again) == 3
 
+    def test_concurrent_submits_get_their_own_outcomes(self, executor, reference):
+        """Two threads submitting to one executor at once, as the runs
+        of ``repro serve`` do over its one shared executor, each get
+        their own outcomes in their own job order."""
+        jobs, expected = reference
+        orders = [list(range(len(jobs))), list(reversed(range(len(jobs))))]
+        start = threading.Barrier(len(orders))
+        results = [None] * len(orders)
+
+        def consume(slot, order):
+            start.wait()
+            stream = executor.submit([jobs[index] for index in order])
+            results[slot] = [outcome.value for outcome in stream]
+
+        threads = [threading.Thread(target=consume, args=pair)
+                   for pair in enumerate(orders)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected[index] for index in order] for order in orders]
+
     def test_retries_validated(self, executor):
         with pytest.raises(EvaluationError):
             list(executor.submit(tiny_spec(tools=("p4",)).jobs()[:1], retries=0))

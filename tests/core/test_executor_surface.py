@@ -8,8 +8,11 @@ always names the event engine, in exports written by older versions
 too.
 """
 
+import concurrent.futures
 import dataclasses
 import inspect
+import sys
+import threading
 
 import pytest
 
@@ -98,7 +101,7 @@ class TestBackends:
     ])
     def test_the_protocol_is_submit_plus_a_lifecycle(self, cls, tunables):
         public = {name for name in dir(cls) if not name.startswith("_")}
-        assert public == {"submit", "close", "name", "max_workers"} | tunables
+        assert public == {"submit", "start", "close", "name", "max_workers"} | tunables
 
     def test_executor_exports_are_the_protocol_and_two_local_backends(self):
         import repro.core.scheduler as scheduler_module
@@ -223,6 +226,94 @@ def executor(request, tmp_path):
         instance = create_executor(2, backend=request.param)
     yield instance
     instance.close()
+
+
+class TestSharedProcessPool:
+    """One ``ProcessPoolExecutor`` borrowed by schedulers on several
+    threads, as every run of ``repro serve`` borrows the server's."""
+
+    def test_racing_passes_build_one_pool(self, monkeypatch):
+        built = []
+        second = threading.Event()
+
+        class SlowPool(object):
+            def __init__(self, max_workers):
+                built.append(self)
+                if len(built) == 2:
+                    second.set()
+                # Stay inside construction for a while: an unguarded
+                # second caller gets in here too.
+                second.wait(0.5)
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SlowPool)
+        executor = ProcessPoolExecutor(max_workers=2)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(executor._ensure_pool()))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 1
+        assert got == built * len(threads)
+
+    def test_a_broken_pool_drops_only_itself(self):
+        """Two passes over one pool both see it break; the second to
+        drop it must leave the pool the first already rebuilt."""
+        class Pool(object):
+            def __init__(self):
+                self.shutdowns = 0
+
+            def shutdown(self, *args, **kwargs):
+                self.shutdowns += 1
+
+        broken, rebuilt = Pool(), Pool()
+        executor = ProcessPoolExecutor(max_workers=2)
+        executor._pool = broken
+        executor._discard(broken)
+        assert executor._pool is None
+        executor._pool = rebuilt
+        executor._discard(broken)
+        assert executor._pool is rebuilt
+        assert (broken.shutdowns, rebuilt.shutdowns) == (2, 0)
+
+
+class TestChunks:
+    def _chunks(self, tools):
+        jobs = tiny_spec(tools=tools, apps=("jpeg", "montecarlo"), seeds=(0, 1)).jobs()
+        executor = ProcessPoolExecutor(max_workers=2)
+        executor.chunk_jobs = 3
+        chunks = list(executor._chunks(jobs))
+        assert [job for chunk in chunks for job in chunk] == jobs
+        assert all(0 < len(chunk) <= executor.chunk_jobs for chunk in chunks)
+        where = {}
+        for index, chunk in enumerate(chunks):
+            for job in chunk:
+                if job.kind == "application":
+                    where.setdefault((job.platform, job.params, job.seed), set()).add(index)
+        return chunks, where
+
+    def test_a_cells_application_jobs_share_a_chunk(self):
+        """One chunk holds the tools' application jobs of a cell, so a
+        worker's per-process memo serves all of them."""
+        _, where = self._chunks(("express", "p4", "pvm"))
+        assert where and all(len(chunks) == 1 for chunks in where.values())
+
+    def test_a_cell_wider_than_a_chunk_is_split(self):
+        chunks, where = self._chunks(("express", "mpi", "p4", "pvm"))
+        assert all(len(found) == 2 for found in where.values())
+        # Primitive jobs are never cut early: they fill whole chunks.
+        assert any(len(chunk) == 3 and all(job.kind != "application" for job in chunk)
+                   for chunk in chunks)
 
 
 class TestEngineIsAlwaysEvent:

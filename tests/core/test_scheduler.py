@@ -89,7 +89,10 @@ class TestExecutors:
 
         from repro.core.scheduler import resolve_workers
 
-        cpus = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
         assert resolve_workers("auto") == cpus
         assert resolve_workers(None) == cpus
         auto = create_executor("auto")
@@ -100,6 +103,20 @@ class TestExecutors:
             assert auto.max_workers == cpus
         assert isinstance(create_executor(2, backend="serial"), SerialExecutor)
         assert isinstance(create_executor(1, backend="process"), ProcessPoolExecutor)
+
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        """A cpuset-limited container sees every CPU of the machine in
+        ``os.cpu_count()`` but may run on fewer: "auto" counts those."""
+        import os
+
+        from repro.core.scheduler import resolve_workers
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers("auto") == 1
+        assert isinstance(create_executor("auto"), SerialExecutor)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers("auto") == 8
 
     def test_serial_and_parallel_agree(self):
         """Simulations are deterministic, so the backend is invisible."""

@@ -20,12 +20,14 @@ from repro.core.progress import (
     Progress,
     RunCompleted,
 )
+from repro.core.cache import ResultCache
 from repro.core.scheduler import (
     Executor,
     JobOutcome,
     ProcessPoolExecutor,
     RunHandle,
     Scheduler,
+    execute_job_instrumented,
 )
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError, RunCancelled
@@ -57,6 +59,35 @@ class GateExecutor(Executor):
         for job in jobs:
             self.release.wait()
             yield JobOutcome(1.0, 0.001, 1)
+
+
+class BatchExecutor(Executor):
+    """Pulls every job before it yields any outcome: the furthest any
+    backend's window can run ahead of the jobs it has finished."""
+
+    name = "batch"
+
+    def submit(self, jobs, retries=1):
+        for job in list(jobs):
+            yield execute_job_instrumented(job, retries)
+
+
+def narration(executor):
+    """The stream of a warm-then-mixed run on ``executor``, wall times
+    left out: a cold p4 pass fills the cache, then a two-tool,
+    two-seed pass mixes cache hits, seed-collapsed hits and
+    simulations."""
+    cache = ResultCache()
+    Scheduler(cache=cache).run(tiny_spec(tools=("p4",)))
+    with Scheduler(executor=executor, cache=cache) as scheduler:
+        handle = scheduler.start(tiny_spec(tools=("p4", "express"), seeds=(0, 1)))
+        events = list(handle.events())
+    *jobs, end = events
+    return [
+        (type(event).__name__, event.job, getattr(event, "index", None),
+         getattr(event, "value", None))
+        for event in jobs
+    ] + [(end.total, end.simulated, end.cache_hits, end.cancelled)]
 
 
 class TestEventStream:
@@ -363,6 +394,31 @@ class TestCancel:
         resumed.run(spec)
         assert resumed.simulations_run == spec.job_count() - done
 
+    def test_cancel_lands_when_the_window_holds_every_job(self, tmp_path):
+        """At the default window this grid is dispatched whole before
+        the first outcome: a cancel seen while outcomes are due still
+        ends the run cancelled, once every dispatched job persisted."""
+        spec = tiny_spec()  # 15 jobs, fewer than one window
+        cache_dir = str(tmp_path / "cache")
+        started = threading.Event()
+        handles = []
+
+        def cancel_on_first_finish(event):
+            if isinstance(event, JobFinished):
+                started.wait()
+                handles[0].cancel()
+
+        with Scheduler(executor=ProcessPoolExecutor(max_workers=2),
+                       cache_dir=cache_dir) as scheduler:
+            handles.append(scheduler.start(spec, on_event=cancel_on_first_finish))
+            started.set()
+            with pytest.raises(RunCancelled):
+                handles[0].result()
+        events = list(handles[0].events())
+        assert events[-1].cancelled
+        assert events[-1].simulated == spec.job_count()
+        assert len(DiskBackend(cache_dir)) == spec.job_count()
+
     def test_cancelled_custom_backend_dropping_queued_jobs_is_tolerated(self):
         """A backend that drops queued work on cancel must not leave
         ``None`` reservations masquerading as samples."""
@@ -435,6 +491,16 @@ class TestInterruptFlush:
 
 
 class TestPoolStreaming:
+    @pytest.mark.parametrize("executor", ["batch", "process"])
+    def test_any_executor_narrates_the_serial_stream(self, executor):
+        """Events go out in first-occurrence order however far the
+        executor runs ahead: a pool streams what a serial run does."""
+        backend = (BatchExecutor() if executor == "batch"
+                   else ProcessPoolExecutor(max_workers=2))
+        serial = narration(None)
+        assert {kind for kind, *_ in serial[:-1]} == {"CacheHit", "JobStarted", "JobFinished"}
+        assert narration(backend) == serial
+
     def test_pool_backed_run_streams_and_persists(self, tmp_path):
         spec = tiny_spec(tools=("p4",))
         cache_dir = str(tmp_path / "cache")

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.cache import ResultCache
 from repro.core.progress import CacheHit, JobFinished, JobStarted, RunCompleted
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ProcessPoolExecutor, Scheduler
 from repro.errors import EvaluationError, ServiceError
 from repro.service.registry import DEFAULT_USER, JobRegistry, normalize_user
 from repro.history import HistoryStore
@@ -362,6 +362,30 @@ class TestShutdownAndRestart:
         assert {CacheHit, JobStarted, JobFinished, RunCompleted} == kinds
         assert warm[-1].cache_hits > len(specs[0].jobs())
         assert not warm[-1].cancelled
+
+    def test_pooled_run_streams_the_same_live_late_and_restarted(self, tmp_path):
+        """The same parity over one shared process pool, what `repro
+        serve` runs by default: the pool runs ahead of the jobs it has
+        finished, yet the live stream narrates them in first-occurrence
+        order.  The slow terminal write keeps each run resident, so the
+        first read is the live one."""
+        cache = ResultCache()
+        specs = (tiny_spec(tools=("p4",)), tiny_spec(tools=("p4", "express"), seeds=(0, 1)))
+        streams = []
+        with ProcessPoolExecutor(max_workers=2) as pool, \
+                SlowTerminalStore(str(tmp_path / "slow.db")) as store:
+            factory = lambda: Scheduler(executor=pool, cache=cache)  # noqa: E731
+            with JobRegistry(store, factory) as registry:
+                for spec in specs:
+                    run_id = registry.submit("alice", spec)["run_id"]
+                    live = list(registry.events(run_id))
+                    streams.append((run_id, live, list(registry.events(run_id))))
+            with JobRegistry(store) as second:
+                for run_id, live, late in streams:
+                    assert late == live
+                    assert list(second.events(run_id)) == live
+        warm = streams[1][1]
+        assert {CacheHit, JobStarted, JobFinished, RunCompleted} == {type(e) for e in warm}
 
     def test_failed_run_never_streams_a_completion(self, store):
         factory = lambda: Scheduler(executor=FailingExecutor(), cache=ResultCache())  # noqa: E731
