@@ -27,7 +27,8 @@ import platform as platform_mod
 import sys
 import time
 
-from repro.core.scheduler import ProcessPoolExecutor, Scheduler
+from repro.core.executors import ProcessPoolExecutor
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.net import AllnodeSwitch, AtmLan, AtmWan, Ethernet, FddiRing
 from repro.sim import Environment

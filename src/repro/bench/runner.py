@@ -115,7 +115,8 @@ def run_evaluation(
     :class:`~repro.core.results.ResultSet`
         Carries per-job telemetry from this pass (``.telemetry``).
     """
-    from repro.core.scheduler import Scheduler, create_executor
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
 
     # Context-manage the scheduler: its process-pool executor keeps a
     # persistent worker pool, which must not outlive this call.

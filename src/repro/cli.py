@@ -404,7 +404,7 @@ evaluation as a service:
 regression intelligence:
   One SQLite database remembers every run you record — the full
   results export plus spec hash, git SHA, timestamp and
-  noise/engine/backend provenance — and the subcommands read it back
+  noise/backend provenance — and the subcommands read it back
   as a trajectory instead of a snapshot.  A `repro serve --db` database
   is one too: every run the service completed is a recorded run.
 
@@ -592,7 +592,8 @@ def _run_with_progress(scheduler, spec, stream=None):
 
 
 def _cmd_evaluate(args) -> int:
-    from repro.core.scheduler import Scheduler, create_executor
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
     from repro.core.spec import EvaluationSpec
     from repro.core.weights import PRESET_PROFILES
     from repro.errors import ReproError
@@ -762,8 +763,6 @@ def _cmd_history(args) -> int:
                     "run", "kind", "recorded", "git", "label", "provenance"))
                 for run in runs:
                     provenance = "%s noise=%g" % (run["source"], run["noise"])
-                    if run["engine"]:
-                        provenance += " engine=%s" % run["engine"]
                     if run["backend"]:
                         provenance += " backend=%s" % run["backend"]
                     print("%-14s %-11s %-19s %-9s %-16s %s" % (
@@ -779,8 +778,7 @@ def _cmd_history(args) -> int:
                     print(json_module.dumps(record, indent=2, sort_keys=True))
                     return 0
                 print("run %s (%s)" % (record["run_id"], record["kind"]))
-                for key in ("label", "source", "git_sha", "spec_hash",
-                            "engine", "backend"):
+                for key in ("label", "source", "git_sha", "spec_hash", "backend"):
                     if record.get(key):
                         print("  %-12s %s" % (key, record[key]))
                 print("  %-12s %s" % ("recorded", when(record["recorded_at"])))
@@ -987,7 +985,8 @@ def _cmd_serve(args) -> int:
     import threading
 
     from repro.core.cache import ResultCache
-    from repro.core.scheduler import Scheduler, create_executor
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
     from repro.errors import ReproError
     from repro.history import HistoryStore
     from repro.service import JobRegistry, ServiceServer

@@ -47,6 +47,9 @@ _EXPORTS = {
     "EXECUTOR_BACKENDS": "repro.core.executors",
     "Executor": "repro.core.executors",
     "JobOutcome": "repro.core.executors",
+    "ProcessPoolExecutor": "repro.core.executors",
+    "SerialExecutor": "repro.core.executors",
+    "create_executor": "repro.core.executors",
     "resolve_workers": "repro.core.executors",
     "CacheHit": "repro.core.progress",
     "JobFinished": "repro.core.progress",
@@ -55,11 +58,8 @@ _EXPORTS = {
     "RunCompleted": "repro.core.progress",
     "RunEvent": "repro.core.progress",
     "JobTelemetry": "repro.core.scheduler",
-    "ProcessPoolExecutor": "repro.core.scheduler",
     "RunHandle": "repro.core.scheduler",
     "Scheduler": "repro.core.scheduler",
-    "SerialExecutor": "repro.core.scheduler",
-    "create_executor": "repro.core.scheduler",
     "DEFAULT_APP_PARAMS": "repro.core.spec",
     "DEFAULT_TPL_SIZES": "repro.core.spec",
     "EvaluationSpec": "repro.core.spec",

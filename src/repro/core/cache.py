@@ -695,15 +695,7 @@ class ResultCache(object):
                     if key is None:
                         key = self._keys[job] = job_key(job)
                     keys[job] = key
-            bulk = getattr(self.backend, "get_many", None)
-            if bulk is not None:
-                found = bulk(list(keys.values()))
-            else:  # duck-typed backend predating the bulk protocol
-                found = {}
-                for key in keys.values():
-                    value = self.backend.get(key)
-                    if value is not MISSING:
-                        found[key] = value
+            found = self.backend.get_many(list(keys.values()))
             results: Dict[MeasurementJob, Optional[float]] = {}
             for job, key in keys.items():
                 if key in found:

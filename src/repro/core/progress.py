@@ -88,18 +88,12 @@ class CacheHit(RunEvent):
 
 @dataclass(frozen=True)
 class JobFinished(RunEvent):
-    """A dispatched job's outcome landed (and was persisted).
-
-    ``engine`` is always ``"event"``: every sample comes from the
-    discrete-event kernel.  The field stays so event dicts keep their
-    shape.
-    """
+    """A dispatched job's outcome landed (and was persisted)."""
 
     job: MeasurementJob
     value: Optional[float]
     wall_seconds: Optional[float]
     attempts: int
-    engine: str = "event"
 
     type = "job_finished"
 
@@ -110,7 +104,6 @@ class JobFinished(RunEvent):
             "value": self.value,
             "wall_seconds": self.wall_seconds,
             "attempts": self.attempts,
-            "engine": self.engine,
         }
 
 
@@ -158,7 +151,9 @@ def event_from_dict(data: dict) -> RunEvent:
     The inverse a remote consumer (the service client) applies to each
     SSE payload, so it can pattern-match on :class:`JobStarted` /
     :class:`JobFinished` / :class:`CacheHit` / :class:`RunCompleted`
-    exactly like a local one.
+    exactly like a local one.  Older versions wrote an ``engine``
+    key, always ``"event"``, into ``job_finished`` events; it is
+    ignored.
     """
     try:
         kind = data["type"]
@@ -170,7 +165,7 @@ def event_from_dict(data: dict) -> RunEvent:
             "unknown event type %r; known: %s"
             % (kind, ", ".join(sorted(EVENT_TYPES)))
         )
-    fields = {key: value for key, value in data.items() if key != "type"}
+    fields = {key: value for key, value in data.items() if key not in ("type", "engine")}
     if "job" in fields:
         fields["job"] = MeasurementJob.from_dict(fields["job"])
     try:

@@ -52,18 +52,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.core.cache import MISSING, CacheBackend, ResultCache
-from repro.core.executors import (
-    EXECUTOR_BACKENDS,
-    Executor,
-    JobOutcome,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    create_executor,
-    execute_job_chunk,
-    execute_job_instrumented,
-    resolve_workers,
-)
+from repro.core.cache import MISSING, ResultCache
+from repro.core.executors import JobOutcome, SerialExecutor
+# Not used here: perfbench/workloads.py imports create_executor from
+# this module, and that import changes only with the benchmark.
+from repro.core.executors import create_executor  # noqa: F401
 from repro.core.jobs import MeasurementJob, canonical_job
 from repro.core.progress import (
     CacheHit,
@@ -75,21 +68,7 @@ from repro.core.progress import (
 )
 from repro.errors import EvaluationError, RunCancelled
 
-__all__ = [
-    "ResultCache",
-    "JobOutcome",
-    "JobTelemetry",
-    "Executor",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
-    "EXECUTOR_BACKENDS",
-    "create_executor",
-    "resolve_workers",
-    "execute_job_instrumented",
-    "execute_job_chunk",
-    "RunHandle",
-    "Scheduler",
-]
+__all__ = ["JobTelemetry", "RunHandle", "Scheduler"]
 
 @dataclass(frozen=True)
 class JobTelemetry:
@@ -99,9 +78,6 @@ class JobTelemetry:
     pass, record ``wall_seconds=0.0`` — the sample cost nothing this
     pass.  ``wall_seconds`` reads ``None`` only in exports written by
     older versions whose executors could not time each job.
-    ``engine`` is always ``"event"`` (the discrete-event kernel
-    produces every sample); the field stays so the export and history
-    schemas do not change.
     """
 
     job: MeasurementJob  # schema: external - keyed by the job in telemetry maps
@@ -109,7 +85,6 @@ class JobTelemetry:
     cache_hit: bool
     wall_seconds: Optional[float]
     attempts: int
-    engine: str = "event"
 
     def to_dict(self) -> dict:
         """Export form.  ``job`` is deliberately absent: telemetry is
@@ -120,21 +95,20 @@ class JobTelemetry:
             "cache_hit": self.cache_hit,
             "wall_seconds": self.wall_seconds,
             "attempts": self.attempts,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, job: MeasurementJob, data: dict) -> "JobTelemetry":
         """Rebuild a record from its export row plus the job it was
         keyed under (the inverse of a ``{job: record.to_dict()}``
-        mapping entry)."""
+        mapping entry).  Rows from older versions may also carry an
+        ``engine`` key, always ``"event"``; it is ignored."""
         return cls(
             job=job,
             executor=data["executor"],
             cache_hit=bool(data["cache_hit"]),
             wall_seconds=data["wall_seconds"],
             attempts=int(data["attempts"]),
-            engine=data.get("engine", "event"),
         )
 
 
@@ -488,9 +462,6 @@ class Scheduler(object):
         A shared :class:`~repro.core.cache.ResultCache`; pass one
         cache to several schedulers (or several ``run`` calls) to
         share measurements across sweeps.
-    cache_backend:
-        Alternatively, a bare :class:`~repro.core.cache.CacheBackend`
-        to wrap in a fresh ``ResultCache``.
     cache_dir:
         Alternatively, a directory for a persistent on-disk cache
         (optionally split over ``shards`` sub-stores; the default
@@ -515,22 +486,17 @@ class Scheduler(object):
         self,
         executor=None,
         cache: Optional[ResultCache] = None,
-        cache_backend: Optional[CacheBackend] = None,
         cache_dir: Optional[str] = None,
         shards: Optional[int] = None,
         retries: int = 1,
     ) -> None:
-        if sum(option is not None for option in (cache, cache_backend, cache_dir)) > 1:
-            raise EvaluationError(
-                "pass at most one of cache=, cache_backend= and cache_dir="
-            )
+        if cache is not None and cache_dir is not None:
+            raise EvaluationError("pass at most one of cache= and cache_dir=")
         if retries < 1:
             raise EvaluationError("retries must be >= 1")
         self.executor = executor if executor is not None else SerialExecutor()
         if cache is not None:
             self.cache = cache
-        elif cache_backend is not None:
-            self.cache = ResultCache(cache_backend)
         elif cache_dir is not None:
             self.cache = ResultCache.on_disk(cache_dir, shards=shards)
         else:

@@ -2,7 +2,7 @@
 
 One row per run — its state, the full :class:`~repro.core.results.ResultSet`
 export JSON and provenance (spec hash, git SHA, timestamps,
-noise/engine/backend, who asked for it) — and three denormalized
+noise/backend, who asked for it) — and three denormalized
 tables the analytics layer aggregates **in SQL**:
 
 * ``samples`` — one row per measurement, keyed by the spec cell
@@ -113,7 +113,7 @@ CREATE TABLE IF NOT EXISTS runs (
     git_sha      TEXT,
     spec_hash    TEXT,
     spec_json    TEXT,
-    engine       TEXT,
+    engine       TEXT,  -- no longer written; older runs hold "event"
     backend      TEXT,
     noise        REAL NOT NULL DEFAULT 0,
     simulated    INTEGER,
@@ -233,7 +233,6 @@ def _sample_row(sample: Dict[str, Any]) -> Tuple:
 
 def _evaluation_rows(
     export: Dict[str, Any],
-    engine: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], List[Tuple], List[Tuple]]:
     """An evaluation export (see :meth:`HistoryStore.record_result`) as
@@ -252,17 +251,11 @@ def _evaluation_rows(
     spec = export["spec"]
     telemetry = export.get("telemetry") or {}
     summary = telemetry.get("summary") or {}
-    if engine is None:
-        engines = sorted({
-            job.get("engine", "event") for job in telemetry.get("jobs", ())
-        })
-        engine = ",".join(engines) if engines else None
     if backend is None:
         executors = summary.get("executors")
         backend = ",".join(executors) if executors else None
     fields = {
         "spec_hash": spec_hash(spec),
-        "engine": engine,
         "backend": backend,
         "noise": float(spec.get("noise", 0.0)),
         "simulated": summary.get("simulated"),
@@ -379,7 +372,6 @@ class HistoryStore(object):
         label: Optional[str] = None,
         source: str = "api",
         git_sha: Optional[str] = None,
-        engine: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> str:
         """Record one finished evaluation; returns its generated run id.
@@ -390,7 +382,7 @@ class HistoryStore(object):
         table, ``telemetry`` (when present) supplies the counters and
         provenance defaults.
         """
-        fields, sample_rows, score_rows = _evaluation_rows(export, engine, backend)
+        fields, sample_rows, score_rows = _evaluation_rows(export, backend)
         fields.update(kind="evaluation", label=label, source=source,
                       state="completed", recorded_at=time.time(),
                       git_sha=git_sha)
@@ -604,7 +596,7 @@ class HistoryStore(object):
                 "unknown run kind %r; known: %s" % (kind, ", ".join(RUN_KINDS))
             )
         query = ("SELECT run_id, kind, label, source, recorded_at, git_sha,"
-                 " spec_hash, engine, backend, noise, simulated, cache_hits,"
+                 " spec_hash, backend, noise, simulated, cache_hits,"
                  " wall_seconds FROM runs WHERE state = 'completed'")
         args: Tuple = ()
         if kind is not None:
@@ -630,6 +622,7 @@ class HistoryStore(object):
             raise HistoryError("unknown run %r" % run_id)
         record = dict(row)
         del record["spec_json"]  # the payload carries the spec
+        del record["engine"]  # a retired column
         payload = record.pop("payload_json")
         record["payload"] = json.loads(payload) if payload else None
         return record

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.errors import NetworkError, validate_noise
-from repro.sim import Environment, Event, NullTracer, Resource, Tracer
+from repro.sim import Environment, NullTracer, Tracer
 
 __all__ = ["FrameFormat", "NetworkStats", "Network"]
 
@@ -227,137 +227,3 @@ class Network(object):
             wire_bytes=wire_bytes,
             busy=busy,
         )
-
-    # ------------------------------------------------------------------
-    # Shared transfer engines
-    #
-    # Every medium's ``transfer`` is some composition of three shapes:
-    # a per-frame claim/transmit loop over an exclusive medium
-    # (Ethernet), a single hold of one resource for a stream (FDDI's
-    # token, ``Resource.hold``), or a hold of an (output port, input
-    # port) pair (ATM, the Allnode crossbar; one ``sim.Hold`` over
-    # both).  The helpers below implement the per-frame loop and give
-    # it a *bulk fast path*: while nobody else wants the medium, a run
-    # of frames collapses into a single scheduled event instead of a
-    # claim/timeout cycle per frame.
-    # ------------------------------------------------------------------
-
-    def _coalesced_frames(self, medium: Resource, nbytes: int, backoff_rng=None,
-                          max_backoff: float = 0.0):
-        """Transmit ``nbytes`` frame by frame over exclusive ``medium``.
-
-        Generator; returns ``(wire_total, busy_total)`` once the last
-        frame has left the wire (the caller charges propagation and
-        records stats).  Requires ``self.frame_format`` and
-        ``self.frame_seconds``.
-
-        Fast path: whenever the medium is granted with nobody queued
-        behind us — so no seeded backoff draw can occur and no rival
-        is owed an interleaving slot — the remaining frames coalesce
-        into one closed-form hold.  A contention watcher wakes the
-        hold the moment another claimant queues; we then finish the
-        frame in flight and fall back to the exact per-frame path, so
-        rivals acquire the medium at precisely the timestamps they
-        would have today.
-
-        Timestamps stay bit-identical to the per-frame loop because
-        the coalesced target is produced by the *same* left-to-right
-        float accumulation the per-frame clock performs, and is
-        scheduled at that absolute time (:meth:`Environment.timeout_until`)
-        rather than via a relative delay.
-        """
-        env = self.env
-        frames = self.frame_format.frame_count(nbytes)
-        full_seconds = self.frame_seconds(self.frame_format.payload_bytes)
-        last_seconds = self.frame_seconds(self.frame_format.last_frame_payload(nbytes))
-        wire_total = self.frame_format.total_wire_bytes(nbytes)
-        busy_total = 0.0
-        sent = 0
-        while sent < frames:
-            claim = medium.request()
-            try:
-                yield claim
-                if medium.queue_length > 0:
-                    # Contended: the exact per-frame path for this
-                    # frame (a seeded backoff draw may apply here, so
-                    # coalescing would change RNG consumption).
-                    if backoff_rng is not None:
-                        yield env.timeout(backoff_rng.uniform(0.0, max_backoff))
-                    frame_time = full_seconds if sent < frames - 1 else last_seconds
-                    yield env.timeout(frame_time)
-                    busy_total += frame_time
-                    sent += 1
-                else:
-                    # Uncontended: coalesce every remaining frame.
-                    started = env.now
-                    target = started
-                    for _ in range(sent, frames - 1):
-                        target += full_seconds
-                    target += last_seconds
-                    if (yield from self._hold_uncontended(medium, target)):
-                        done = frames - sent
-                    else:
-                        # A rival queued mid-hold.  Walk the per-frame
-                        # boundary accumulation to the frame in
-                        # flight, finish it, then yield the medium.
-                        done = 0
-                        boundary = started
-                        while sent + done < frames:
-                            step = (full_seconds if sent + done < frames - 1
-                                    else last_seconds)
-                            if boundary + step <= env.now:
-                                boundary += step
-                                done += 1
-                            else:
-                                break
-                        if (boundary < env.now or done == 0) and sent + done < frames:
-                            # A frame is on the wire: hold until its
-                            # per-frame end.  That is so strictly
-                            # inside a frame, and also at the hold's
-                            # very start (the per-frame path schedules
-                            # the first frame's timeout before a
-                            # same-instant rival event can run).  A
-                            # rival landing float-exactly on a *later*
-                            # frame boundary finds no frame started —
-                            # release immediately, as the per-frame
-                            # path grants a rival that was already
-                            # waiting when the frame ended.
-                            boundary += (full_seconds if sent + done < frames - 1
-                                         else last_seconds)
-                            yield env.timeout_until(boundary)
-                            done += 1
-                    # The per-frame path's left-to-right sum: full
-                    # frames, then the last one if this run sent it.
-                    full_frames = min(done, frames - 1 - sent)
-                    for _ in range(full_frames):
-                        busy_total += full_seconds
-                    if full_frames < done:
-                        busy_total += last_seconds
-                    sent += done
-            finally:
-                medium.release(claim)
-        return wire_total, busy_total
-
-    def _hold_uncontended(self, resource: Resource, until_time: float):
-        """Hold the already-claimed ``resource`` until ``until_time``.
-
-        Generator; wakes early the moment another claimant queues on
-        ``resource``.  Returns True if the hold ran to ``until_time``
-        undisturbed, False if contention cut it short.
-        """
-        env = self.env
-        if until_time <= env.now:
-            return True
-        contended = Event(env)
-
-        def notice(_request, _contended=contended):
-            if not _contended.triggered:
-                _contended.succeed()
-
-        resource.watch_contention(notice)
-        expiry = env.timeout_until(until_time)
-        try:
-            yield env.any_of((expiry, contended))
-        finally:
-            resource.unwatch_contention(notice)
-        return expiry.processed

@@ -15,7 +15,7 @@ import random
 from typing import Optional
 
 from repro.net.base import FrameFormat, Network
-from repro.sim import Environment, Resource, Tracer
+from repro.sim import Environment, Resource, Tracer, Train
 
 __all__ = ["Ethernet"]
 
@@ -67,8 +67,8 @@ class Ethernet(Network):
         defers a uniform random slice of ``max_backoff_seconds`` before
         transmitting.  Draws come from the ``"ethernet.backoff"``
         stream, and only ever occur under contention — an uncontended
-        transfer stays on the deterministic bulk fast path and leaves
-        the stream untouched.
+        transfer runs its frames as one timer and leaves the stream
+        untouched.
         """
         scale = self._noise_scale(scale)  # validate before any mutation
         self._backoff_rng = streams.stream("ethernet.backoff")
@@ -87,21 +87,29 @@ class Ethernet(Network):
         """Wire time of a single frame carrying ``payload`` bytes."""
         return self.frame_format.wire_bytes(payload) * 8.0 / self.rate_bps
 
+    def _backoff_seconds(self) -> float:
+        """One seeded CSMA/CD backoff draw."""
+        return self._backoff_rng.uniform(0.0, self._max_backoff)
+
     def transfer(self, src: int, dst: int, nbytes: int):
         """Send ``nbytes`` from ``src`` to ``dst`` frame by frame.
 
-        Runs of frames on an idle segment coalesce into single bulk
-        holds (:meth:`Network._coalesced_frames`); the moment another
-        host queues for the wire — when collisions and seeded backoff
-        become possible — transmission falls back to the exact
-        per-frame claim/backoff/transmit cycle.
+        The frames are one :class:`~repro.sim.Train` over the segment,
+        claimed once per frame: frames on an idle segment run as one
+        timer, and the moment another host queues for the wire — when
+        collisions and seeded backoff become possible — the train
+        sends frame by frame, each after a backoff draw.
         """
         self.validate_endpoints(src, dst)
         start = self.env.now
-        wire_total, busy_total = yield from self._coalesced_frames(
-            self._medium, nbytes,
-            backoff_rng=self._backoff_rng, max_backoff=self._max_backoff,
+        frame_format = self.frame_format
+        busy_total = yield Train(
+            self._medium,
+            frame_format.frame_count(nbytes),
+            self.frame_seconds(frame_format.payload_bytes),
+            self.frame_seconds(frame_format.last_frame_payload(nbytes)),
+            None if self._backoff_rng is None else self._backoff_seconds,
         )
         yield self.env.timeout(self.propagation_seconds)
-        self._record(src, dst, nbytes, wire_total, busy_total)
+        self._record(src, dst, nbytes, frame_format.total_wire_bytes(nbytes), busy_total)
         return self.env.now - start

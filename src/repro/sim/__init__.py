@@ -8,11 +8,11 @@ Public API
 ----------
 :class:`Environment`
     The scheduler and clock.
-:class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`
+:class:`Event`, :class:`Timeout`, :class:`TimeoutUntil`, :class:`AllOf`
     Event primitives processes can ``yield``.
 :class:`Process`, :class:`Interrupt`
     Process handle and the interrupt exception.
-:class:`Resource`, :class:`Hold`, :class:`Store`, :class:`FilterStore`
+:class:`Resource`, :class:`Hold`, :class:`Train`, :class:`Store`, :class:`FilterStore`
     Shared-resource primitives.
 :class:`RandomStreams`
     Named deterministic random streams.
@@ -22,7 +22,6 @@ Public API
 
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Condition,
     ConditionValue,
     Event,
@@ -34,13 +33,12 @@ from repro.sim.events import (
 )
 from repro.sim.kernel import Environment, Infinity
 from repro.sim.process import Process
-from repro.sim.resources import FilterStore, Hold, Request, Resource, Store
+from repro.sim.resources import FilterStore, Hold, Request, Resource, Store, Train
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Condition",
     "ConditionValue",
     "Environment",
@@ -61,5 +59,6 @@ __all__ = [
     "TimeoutUntil",
     "TraceRecord",
     "Tracer",
+    "Train",
     "derive_seed",
 ]

@@ -30,7 +30,6 @@ __all__ = [
     "ConditionValue",
     "Condition",
     "AllOf",
-    "AnyOf",
     "Interruption",
     "Interrupt",
     "StopSimulation",
@@ -183,10 +182,11 @@ class Timeout(Event):
 class TimeoutUntil(Event):
     """An event that fires at an absolute simulation time.
 
-    The network fast path coalesces many per-frame timeouts into one
-    event whose pop time must hit an exact float target: scheduling
-    ``at`` directly sidesteps the ``now + (at - now)`` round-trip,
-    which is not an identity in floating point.
+    A :class:`~repro.sim.resources.Train` ends a run of frames with one
+    such event, whose pop time must hit the per-frame clock's float
+    sum exactly: scheduling ``at`` directly sidesteps the
+    ``now + (at - now)`` round-trip, which is not an identity in
+    floating point.
     """
 
     __slots__ = ("at",)
@@ -313,21 +313,8 @@ class AllOf(Condition):
         super(AllOf, self).__init__(env, _all_events, events)
 
 
-class AnyOf(Condition):
-    """Condition that fires once *any* sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super(AnyOf, self).__init__(env, _any_events, events)
-
-
 def _all_events(events: List[Event], count: int) -> bool:
     return count == len(events)
-
-
-def _any_events(events: List[Event], count: int) -> bool:
-    return count > 0 or not events
 
 
 class Interrupt(Exception):

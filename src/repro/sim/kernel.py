@@ -14,7 +14,6 @@ from typing import Any, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Event,
     Priority,
     StopSimulation,
@@ -91,9 +90,10 @@ class Environment(object):
         """Create an event that fires at the absolute time ``at``.
 
         Unlike ``timeout(at - now)``, the event pops at exactly ``at``:
-        there is no float round-trip through a relative delay.  The
-        network fast path relies on this to keep coalesced timestamps
-        bit-identical to the per-frame accumulation they replace.
+        there is no float round-trip through a relative delay.  A
+        :class:`~repro.sim.resources.Train` relies on this to keep a
+        run of frames bit-identical to the per-frame accumulation it
+        replaces.
         """
         return TimeoutUntil(self, at, value)
 
@@ -104,10 +104,6 @@ class Environment(object):
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Create a condition that fires once all ``events`` fire."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create a condition that fires once any of ``events`` fires."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling

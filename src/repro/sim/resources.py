@@ -5,7 +5,9 @@ Three primitives cover everything the substrates need:
 * :class:`Resource` — a counted semaphore with a FIFO wait queue; models
   exclusive media (an Ethernet segment, a token) or multi-unit capacity
   (switch ports).  :class:`Hold` claims one or more of them, sleeps and
-  releases, all as one event a process yields once.
+  releases, all as one event a process yields once; :class:`Train`
+  does the same for a run of frames that claim an exclusive resource
+  once each.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``;
   models mailboxes and daemon input queues.
 * :class:`FilterStore` — a store whose ``get`` can wait for an item
@@ -17,9 +19,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Sequence
 
-from repro.sim.events import PENDING, Event
+from repro.sim.events import PENDING, Event, TimeoutUntil
 
-__all__ = ["Request", "Hold", "Resource", "StorePut", "StoreGet", "Store", "FilterStore"]
+__all__ = ["Request", "Hold", "Train", "Resource", "StorePut", "StoreGet", "Store",
+           "FilterStore"]
 
 
 class Request(Event):
@@ -123,6 +126,144 @@ class Hold(Event):
             claim.resource.release(claim)
 
 
+class Train(Event):
+    """Send ``frames`` frames over exclusive ``resource``, one claim each.
+
+    One event stands for the per-frame loop a process would otherwise
+    spell as, for every frame, ``with request(): yield claim; yield
+    timeout(backoff()); yield timeout(seconds)``, where the backoff
+    sleep happens only when a rival is queued at the grant and
+    ``backoff`` is given.  Every frame but the last takes ``seconds``;
+    the last takes ``last_seconds``.  The train fires, with every
+    claim returned, with the frames' busy seconds (backoff excluded)
+    summed left to right as the loop sums them.
+
+    Frames go out in runs, each ended by one timer:
+
+    * Granted with nobody queued (so no backoff draw can occur), the
+      remaining frames run as one timer, set at the loop's
+      left-to-right sum of frame times and scheduled at that absolute
+      time, so it pops where the loop's clock would have stood.
+    * A rival that queues mid-run cuts the run at the end of the frame
+      in flight (at the run's first instant the loop has already
+      started one), or at once when it lands exactly on a frame
+      boundary.  The train then claims again, behind the rival.  On a
+      boundary this is the loop's order when the rival's arrival was
+      scheduled before the frame ending there began; one scheduled
+      later would, in the loop, wait a frame more, and a run cannot
+      tell the two apart.
+    * Granted with a rival queued, the train sends one frame, after a
+      ``backoff()`` draw.
+
+    Rivals are thus granted at the loop's instants and ``backoff``
+    sees the loop's draws.  An interrupt of the waiting process does
+    not stop the train.
+    """
+
+    __slots__ = ("_resource", "_frames", "_seconds", "_last_seconds", "_backoff",
+                 "_sent", "_busy", "_request", "_run", "_run_start", "_timer")
+
+    def __init__(
+        self,
+        resource: "Resource",
+        frames: int,
+        seconds: float,
+        last_seconds: float,
+        backoff: Optional[Callable[[], float]] = None,
+    ) -> None:
+        if resource.capacity != 1:
+            raise ValueError("a train needs an exclusive resource")
+        if frames < 1:
+            raise ValueError("a train needs at least one frame, got %r" % (frames,))
+        if min(seconds, last_seconds) <= 0:
+            raise ValueError("frame times must be positive")
+        self.env = resource._env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self._resource = resource
+        self._frames = frames
+        self._seconds = seconds
+        self._last_seconds = last_seconds
+        self._backoff = backoff
+        self._sent = 0
+        self._busy = 0.0
+        self._claim()
+
+    def _frame_seconds(self, index: int) -> float:
+        return self._seconds if index < self._frames - 1 else self._last_seconds
+
+    def _after(self, start: float, count: int) -> float:
+        """``start`` plus the next ``count`` unsent frames' times, added
+        one frame at a time, as the loop's clock adds them."""
+        full = min(count, self._frames - 1 - self._sent)
+        for _ in range(full):
+            start += self._seconds
+        if full < count:
+            start += self._last_seconds
+        return start
+
+    def _claim(self) -> None:
+        request = self._request = Request(self._resource)
+        request.callbacks.append(self._granted)
+
+    def _granted(self, _request: Request) -> None:
+        env = self.env
+        if self._resource.queue_length:
+            self._run = 1
+            if self._backoff is None:
+                self._send(None)
+            else:
+                env.timeout(self._backoff()).callbacks.append(self._send)
+        else:
+            self._run = self._frames - self._sent
+            self._run_start = env.now
+            self._resource._on_queue = self._cut
+            self._arm(self._after(env.now, self._run))
+
+    def _send(self, _backoff: Optional[Event]) -> None:
+        self._arm(self.env.now + self._frame_seconds(self._sent))
+
+    def _arm(self, at: float) -> None:
+        timer = self._timer = TimeoutUntil(self.env, at)
+        timer.callbacks.append(self._ran)
+
+    def _cut(self, _rival: Request) -> None:
+        """A rival queued mid-run (the resource's queue hook)."""
+        self._resource._on_queue = None
+        now = self.env.now
+        end = self._run_start
+        done = 0
+        # Walk the loop's frame boundaries to the first one at or after
+        # now; at the run's first instant, that is the first frame's end.
+        while done < self._run and (end < now or done == 0):
+            end += self._frame_seconds(self._sent + done)
+            done += 1
+        if done < self._run:
+            self._run = done
+            self._arm(end)
+
+    def _ran(self, timer: Event) -> None:
+        if timer is not self._timer:
+            return  # a cut ended this run earlier
+        resource = self._resource
+        resource._on_queue = None
+        self._busy = self._after(self._busy, self._run)
+        self._sent += self._run
+        resource.release(self._request)
+        if self._sent < self._frames:
+            self._claim()
+        else:
+            # Fire in this timer's heap slot, where the loop's process
+            # resumed after its last frame, rather than one hop later.
+            self._ok = True
+            self._value = self._busy
+            callbacks, self.callbacks = self.callbacks, None
+            for callback in callbacks:
+                callback(self)
+
+
 class Resource(object):
     """A counted, FIFO-fair resource.
 
@@ -141,7 +282,9 @@ class Resource(object):
         self._capacity = int(capacity)
         self._users: List[Request] = []
         self._waiters: Deque[Request] = deque()
-        self._contention_watchers: List[Callable[[Request], None]] = []
+        # Called with each request that must queue; a Train sets it
+        # while it sends frames with nobody queued behind it.
+        self._on_queue: Optional[Callable[[Request], None]] = None
 
     def __repr__(self) -> str:
         return "<Resource capacity=%d users=%d queued=%d>" % (
@@ -179,24 +322,6 @@ class Resource(object):
         """
         return Hold((self,), delays)
 
-    def watch_contention(self, callback: Callable[[Request], None]) -> None:
-        """Invoke ``callback(request)`` whenever a request must queue.
-
-        This is the hook the network fast path uses to coalesce long
-        uncontended holds: the holder sleeps through one closed-form
-        timeout and is woken the instant a rival claimant arrives, so
-        it can yield the resource exactly where the per-claim path
-        would have.  Watchers fire synchronously inside ``request()``.
-        """
-        self._contention_watchers.append(callback)
-
-    def unwatch_contention(self, callback: Callable[[Request], None]) -> None:
-        """Remove a watcher added by :meth:`watch_contention`."""
-        try:
-            self._contention_watchers.remove(callback)
-        except ValueError:
-            pass
-
     def release(self, request: Request) -> None:
         """Return a previously granted claim; takes effect at once.
 
@@ -218,9 +343,8 @@ class Resource(object):
             self._env.schedule(request)
         else:
             self._waiters.append(request)
-            if self._contention_watchers:
-                for callback in tuple(self._contention_watchers):
-                    callback(request)
+            if self._on_queue is not None:
+                self._on_queue(request)
 
     def _grant_next(self) -> None:
         while self._waiters and len(self._users) < self._capacity:

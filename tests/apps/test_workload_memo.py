@@ -22,9 +22,10 @@ from repro.apps.jpeg.codec import compress_strip
 from repro.apps.jpeg.parallel import JpegCompression, synthetic_image
 from repro.apps.sorting.parallel import PsrsSort
 from repro.apps.sorting.psrs import partition_by_pivots, regular_sample, select_pivots
+from repro.core.executors import ProcessPoolExecutor
 from repro.core.jobs import application_job, execute_job
 from repro.core.measurements import build_platform, create_tool
-from repro.core.scheduler import ProcessPoolExecutor, Scheduler
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.sim import RandomStreams
 

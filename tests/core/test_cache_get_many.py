@@ -111,9 +111,10 @@ class TestResultCache:
         assert cache.misses == 0
 
     def test_backend_without_get_many_still_works(self):
-        """Duck-typed backends predating get_many fall back to get."""
+        """A backend that overrides only ``get`` and ``put`` probes in
+        bulk through the ``CacheBackend`` base's ``get_many``."""
 
-        class Legacy(object):
+        class Plain(CacheBackend):
             def __init__(self):
                 self.data = {}
 
@@ -123,12 +124,22 @@ class TestResultCache:
             def put(self, key, value, job=None):
                 self.data[key] = value
 
-        cache = ResultCache(Legacy())
+        cache = ResultCache(Plain())
         stored = jobs(3)
         cache.store(stored[0], None)
         results = cache.get_many(stored)
         assert results == {stored[0]: None}
         assert cache.hits == 1 and cache.misses == 2
+
+    def test_a_backend_outside_the_protocol_is_refused_at_the_probe(self):
+        """No fallback for duck-typed backends without ``get_many``."""
+
+        class GetOnly(object):
+            def get(self, key):
+                return MISSING
+
+        with pytest.raises(AttributeError, match="get_many"):
+            ResultCache(GetOnly()).get_many(jobs(1))
 
     def test_get_many_agrees_with_lookup(self):
         with tempfile.TemporaryDirectory() as root:

@@ -10,13 +10,9 @@ never duplicate a simulation.
 import pytest
 
 from repro.core.cache import DiskBackend, ResultCache, ShardedBackend
+from repro.core.executors import ProcessPoolExecutor, SerialExecutor
 from repro.core.jobs import canonical_job, execute_job
-from repro.core.scheduler import (
-    JobTelemetry,
-    ProcessPoolExecutor,
-    Scheduler,
-    SerialExecutor,
-)
+from repro.core.scheduler import JobTelemetry, Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError
 
@@ -38,12 +34,13 @@ class TestSchedulerCacheOptions:
     def test_cache_options_are_exclusive(self, tmp_path):
         with pytest.raises(EvaluationError):
             Scheduler(cache=ResultCache(), cache_dir=str(tmp_path))
-        with pytest.raises(EvaluationError):
-            Scheduler(cache_backend=DiskBackend(str(tmp_path)),
-                      cache_dir=str(tmp_path))
 
     def test_cache_backend_option(self, tmp_path):
-        scheduler = Scheduler(cache_backend=DiskBackend(str(tmp_path)))
+        """A bare backend is wrapped by the caller: ``cache_backend=``
+        is gone, ``cache=ResultCache(backend)`` says the same."""
+        with pytest.raises(TypeError):
+            Scheduler(cache_backend=DiskBackend(str(tmp_path)))
+        scheduler = Scheduler(cache=ResultCache(DiskBackend(str(tmp_path))))
         assert isinstance(scheduler.cache.backend, DiskBackend)
 
     def test_retries_validated(self):

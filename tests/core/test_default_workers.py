@@ -14,10 +14,10 @@ import os
 
 import pytest
 
-import repro.core.scheduler as scheduler_module
+import repro.core.executors as executors_module
 from repro.bench.runner import run_evaluation
 from repro.core.cache import ResultCache
-from repro.core.scheduler import ProcessPoolExecutor
+from repro.core.executors import ProcessPoolExecutor
 from repro.core.spec import EvaluationSpec
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
@@ -33,7 +33,7 @@ def two_cpus(monkeypatch):
 def spawned(monkeypatch):
     """Every executor ``run_evaluation`` builds, and every process started."""
     executors, processes = [], []
-    create = scheduler_module.create_executor
+    create = executors_module.create_executor
     start = multiprocessing.process.BaseProcess.start
 
     def recording_create(*args, **kwargs):
@@ -44,7 +44,7 @@ def spawned(monkeypatch):
         processes.append(process)
         start(process)
 
-    monkeypatch.setattr(scheduler_module, "create_executor", recording_create)
+    monkeypatch.setattr(executors_module, "create_executor", recording_create)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
     return executors, processes
 

@@ -17,15 +17,16 @@ import threading
 
 import pytest
 
-from repro.core.executors import ChunkedExecutor, execute_job_instrumented
-from repro.core.jobs import execute_job
-from repro.core.progress import JobFinished
-from repro.core.scheduler import (
+from repro.core.executors import (
+    ChunkedExecutor,
     Executor,
     ProcessPoolExecutor,
-    Scheduler,
     SerialExecutor,
+    execute_job_instrumented,
 )
+from repro.core.jobs import execute_job
+from repro.core.progress import JobFinished
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError, RunCancelled
 

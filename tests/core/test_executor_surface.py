@@ -4,8 +4,8 @@ Every cache miss is simulated by the discrete-event kernel and reaches
 it through ``Executor.submit``.  These tests pin that surface from the
 outside: the backends on offer, what a custom executor must provide,
 how its outcomes land in telemetry and events, and that provenance
-always names the event engine, in exports written by older versions
-too.
+names no engine, while exports written by older versions, which
+carry an ``engine`` key, still read.
 """
 
 import concurrent.futures
@@ -104,12 +104,23 @@ class TestBackends:
         assert public == {"submit", "start", "close", "name", "max_workers"} | tunables
 
     def test_executor_exports_are_the_protocol_and_two_local_backends(self):
+        assert {name for name in repro.core.__all__ if name.endswith("Executor")} == {
+            "Executor", "SerialExecutor", "ProcessPoolExecutor"
+        }
+
+    def test_the_scheduler_module_reexports_only_create_executor(self):
+        """Executors come from ``repro.core.executors`` and the cache
+        from ``repro.core.cache``; ``create_executor`` stays reachable
+        here only for the benchmark harness, which imports it from
+        this module."""
+        import repro.core.executors as executors_module
         import repro.core.scheduler as scheduler_module
 
-        for exports in (repro.core.__all__, scheduler_module.__all__):
-            assert {name for name in exports if name.endswith("Executor")} == {
-                "Executor", "SerialExecutor", "ProcessPoolExecutor"
-            }
+        assert scheduler_module.__all__ == ["JobTelemetry", "RunHandle", "Scheduler"]
+        assert scheduler_module.create_executor is executors_module.create_executor
+        for name in ("Executor", "ProcessPoolExecutor", "EXECUTOR_BACKENDS",
+                     "resolve_workers", "execute_job_chunk", "execute_job_instrumented"):
+            assert not hasattr(scheduler_module, name), name
 
     def test_scheduler_takes_no_engine(self):
         assert not hasattr(Scheduler, "ENGINES")
@@ -316,16 +327,20 @@ class TestChunks:
                    for chunk in chunks)
 
 
-class TestEngineIsAlwaysEvent:
-    """``JobTelemetry.engine``, ``JobFinished.engine`` and the history
-    ``engine`` column keep their place in every schema and read
-    ``"event"`` whatever backend ran the job."""
+class TestNoEngineField:
+    """Every sample comes from the discrete-event kernel, so telemetry,
+    ``JobFinished`` events, exports and history records name no engine,
+    whatever backend ran the job."""
 
     # Seeds 0 and 1: every job here is seed-insensitive, so a pass
     # simulates the seed-0 jobs and serves their seed-1 siblings.
     SPEC = dict(tools=("p4", "pvm"), seeds=(0, 1))
 
-    def test_telemetry_names_the_event_engine(self, executor):
+    def test_the_records_have_no_engine_field(self):
+        for cls in (JobTelemetry, JobFinished):
+            assert "engine" not in {field.name for field in dataclasses.fields(cls)}
+
+    def test_telemetry_names_no_engine(self, executor):
         spec = tiny_spec(**self.SPEC)
         scheduler = Scheduler(executor=executor)
         first = scheduler.run(spec)
@@ -334,49 +349,63 @@ class TestEngineIsAlwaysEvent:
         warm = scheduler.run(spec)  # every job a cache hit
         for result in (first, warm):
             assert len(result.telemetry) == spec.job_count()
-            assert {record.engine for record in result.telemetry.values()} == {
-                "event"
-            }
+            assert all("engine" not in record.to_dict()
+                       for record in result.telemetry.values())
 
-    def test_finished_events_name_the_event_engine(self, executor):
+    def test_finished_events_name_no_engine(self, executor):
         spec = tiny_spec(**self.SPEC)
         scheduler = Scheduler(executor=executor)
         events = []
         scheduler.start(spec, on_event=events.append).result(timeout=120)
         finished = [event for event in events if isinstance(event, JobFinished)]
         assert len(finished) == scheduler.simulations_run > 0
-        assert {event.engine for event in finished} == {"event"}
-        assert {event.to_dict()["engine"] for event in finished} == {"event"}
+        assert all("engine" not in event.to_dict() for event in finished)
 
-    def test_export_and_history_record_the_event_engine(self, executor, tmp_path):
+    def test_export_and_history_record_name_no_engine(self, executor, tmp_path):
         export = Scheduler(executor=executor).run(tiny_spec(**self.SPEC)).to_dict()
         rows = export["telemetry"]["jobs"]
-        assert rows and {row["engine"] for row in rows} == {"event"}
+        assert rows and all("engine" not in row for row in rows)
         with HistoryStore(str(tmp_path / "history.db")) as store:
             record = store.get(store.record_result(export))
-        assert record["engine"] == "event"
+            (listed,) = store.list_runs()
+        assert "engine" not in record and "engine" not in listed
         assert record["backend"] == executor.name
 
 
 class TestOldExports:
-    """Exports written before every job was timed may carry
-    ``wall_seconds: null`` and no ``engine`` key; they still read."""
+    """Exports written by older versions may carry ``wall_seconds:
+    null`` (before every job was timed), and with or without an
+    ``engine`` key (always ``"event"`` while the field existed); they
+    still read."""
+
+    ROW = {"executor": "serial", "cache_hit": False,
+           "wall_seconds": None, "attempts": 1}
 
     def test_telemetry_row_without_engine_or_timing(self):
         job = tiny_spec(tools=("p4",)).jobs()[0]
-        row = {"executor": "serial", "cache_hit": False,
-               "wall_seconds": None, "attempts": 1}
-        record = JobTelemetry.from_dict(job, row)
-        assert record.engine == "event"
+        record = JobTelemetry.from_dict(job, self.ROW)
         assert record.wall_seconds is None
-        assert record.to_dict() == dict(row, engine="event")
+        assert record.to_dict() == self.ROW
+
+    def test_telemetry_row_with_engine(self):
+        job = tiny_spec(tools=("p4",)).jobs()[0]
+        record = JobTelemetry.from_dict(job, dict(self.ROW, engine="event"))
+        assert record.to_dict() == self.ROW
 
     def test_finished_event_without_engine_or_timing(self):
         job = tiny_spec(tools=("p4",)).jobs()[0]
         event = event_from_dict({"type": "job_finished", "job": job.to_dict(),
                                  "value": 1.5, "wall_seconds": None,
                                  "attempts": 1})
-        assert event == JobFinished(job, 1.5, None, 1, "event")
+        assert event == JobFinished(job, 1.5, None, 1)
+
+    def test_finished_event_with_engine(self):
+        job = tiny_spec(tools=("p4",)).jobs()[0]
+        data = {"type": "job_finished", "job": job.to_dict(),
+                "value": 1.5, "wall_seconds": 0.5, "attempts": 1}
+        event = event_from_dict(dict(data, engine="event"))
+        assert event == JobFinished(job, 1.5, 0.5, 1)
+        assert event.to_dict() == data
 
     def test_untimed_records_are_left_out_of_the_wall_total(self):
         result = Scheduler().run(tiny_spec(tools=("p4",)))
@@ -389,12 +418,19 @@ class TestOldExports:
         assert summary["simulated"] == len(jobs)
         assert summary["total_wall_seconds"] == pytest.approx(timed)
 
-    def test_history_records_an_export_without_engine_keys(self, tmp_path):
+    def _recorded(self, tmp_path, engine):
         export = Scheduler().run(tiny_spec(tools=("p4",))).to_dict()
         for row in export["telemetry"]["jobs"]:
-            del row["engine"]
+            if engine:
+                row["engine"] = "event"
             row["wall_seconds"] = None
         with HistoryStore(str(tmp_path / "history.db")) as store:
             record = store.get(store.record_result(export))
-        assert record["engine"] == "event"
+        assert "engine" not in record
         assert record["payload"] == export
+
+    def test_history_records_an_export_without_engine_keys(self, tmp_path):
+        self._recorded(tmp_path, engine=False)
+
+    def test_history_records_an_export_with_engine_keys(self, tmp_path):
+        self._recorded(tmp_path, engine=True)

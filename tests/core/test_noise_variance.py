@@ -12,8 +12,8 @@ cached separately from deterministic runs.
 
 import pytest
 
-from repro.core.cache import job_key
-from repro.core.scheduler import ResultCache, Scheduler
+from repro.core.cache import ResultCache, job_key
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 
 _TINY = dict(

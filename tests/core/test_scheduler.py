@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core import evaluate_tools
-from repro.core.scheduler import (
+from repro.core.cache import ResultCache
+from repro.core.executors import (
     Executor,
     JobOutcome,
     ProcessPoolExecutor,
-    ResultCache,
-    Scheduler,
     SerialExecutor,
     create_executor,
 )
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.core.weights import WeightProfile
 from repro.errors import EvaluationError
@@ -87,7 +87,7 @@ class TestExecutors:
     def test_create_executor_auto_and_backends(self):
         import os
 
-        from repro.core.scheduler import resolve_workers
+        from repro.core.executors import resolve_workers
 
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
@@ -109,7 +109,7 @@ class TestExecutors:
         ``os.cpu_count()`` but may run on fewer: "auto" counts those."""
         import os
 
-        from repro.core.scheduler import resolve_workers
+        from repro.core.executors import resolve_workers
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -203,7 +203,7 @@ class TestAbandonedStream:
         the first ``prefilled_chunks`` resolve immediately, the rest
         stay pending (as if workers were still busy)."""
         import concurrent.futures
-        from repro.core.scheduler import JobOutcome
+        from repro.core.executors import JobOutcome
 
         executor = ProcessPoolExecutor(max_workers=2)
         submitted = []

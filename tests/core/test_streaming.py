@@ -12,7 +12,13 @@ import threading
 
 import pytest
 
-from repro.core.cache import DiskBackend
+from repro.core.cache import DiskBackend, ResultCache
+from repro.core.executors import (
+    Executor,
+    JobOutcome,
+    ProcessPoolExecutor,
+    execute_job_instrumented,
+)
 from repro.core.progress import (
     CacheHit,
     JobFinished,
@@ -20,15 +26,7 @@ from repro.core.progress import (
     Progress,
     RunCompleted,
 )
-from repro.core.cache import ResultCache
-from repro.core.scheduler import (
-    Executor,
-    JobOutcome,
-    ProcessPoolExecutor,
-    RunHandle,
-    Scheduler,
-    execute_job_instrumented,
-)
+from repro.core.scheduler import RunHandle, Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError, RunCancelled
 

@@ -194,3 +194,33 @@ class TestSchemaGuardThroughCli:
         assert main(["serve", "--port", "0", "--db", path]) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: ") and "repro-service.db holds tables" in out
+
+
+class TestDatabasesFromOlderVersions:
+    def test_runs_with_the_engine_column_filled_still_read(
+        self, seeded_db, export, capsys
+    ):
+        """Older versions filled the ``engine`` column (always
+        ``"event"``); their databases still open, list, show and diff."""
+        import sqlite3
+
+        db = sqlite3.connect(seeded_db)
+        db.execute("UPDATE runs SET engine = 'event'")
+        db.commit()
+        db.close()
+        with HistoryStore(seeded_db) as store:
+            store.record_result(scaled(export, 2.0), label="third", source="cli")
+            assert [run["label"] for run in store.list_runs()] == [
+                "third", "second", "first"]
+        assert main(["history", "list", "--db", seeded_db]) == 0
+        out = capsys.readouterr().out
+        assert "engine" not in out and len(out.splitlines()) == 4
+        assert main(["history", "show", "--db", seeded_db, "latest~2"]) == 0
+        out = capsys.readouterr().out
+        assert "first" in out and "engine" not in out
+        assert main(["history", "diff", "--db", seeded_db,
+                     "latest~2", "latest~1"]) == 0
+        assert "0 regression(s)" in capsys.readouterr().out
+        assert main(["history", "diff", "--db", seeded_db,
+                     "latest~1", "latest"]) == 0
+        assert "REGRESSION" in capsys.readouterr().out

@@ -29,7 +29,7 @@ class TestRecordResult:
         summary = export["telemetry"]["summary"]
         assert record["simulated"] == summary["simulated"]
         assert record["cache_hits"] == summary["cache_hits"]
-        assert record["engine"] == "event"
+        assert "engine" not in record
         assert record["backend"] == ",".join(summary["executors"])
 
     def test_samples_denormalize_per_cell(self, store, export):

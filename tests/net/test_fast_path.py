@@ -1,7 +1,7 @@
 """Fast-path equivalence: bulk coalescing must be invisible.
 
-The network layer coalesces runs of frames on an uncontended medium
-into single closed-form holds (``Network._coalesced_frames``) and the
+Ethernet sends a message as one ``sim.Train``, which runs the frames
+on an uncontended segment as single closed-form timers, and the
 stream media hold their token or port pair as one ``sim.Hold``.  These
 tests pin the whole point of that design: simulated timestamps,
 returned durations, ``NetworkStats`` and tracer records are
@@ -17,6 +17,13 @@ medium class.
 import random
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised on bare images
+    HAVE_HYPOTHESIS = False
 
 from repro.net import AllnodeSwitch, AtmLan, AtmWan, Ethernet, FddiRing
 from repro.net.atm import _CELL_BYTES, cells_for
@@ -346,3 +353,68 @@ class TestFastPathIsActuallyFast:
         # After the drain the clock sits at the last real completion,
         # not at the stale bulk expiry.
         assert env.now == max(done)
+
+
+# ----------------------------------------------------------------------
+# Property: random contended Ethernet scenarios, ties on frame boundaries
+# ----------------------------------------------------------------------
+
+FALLBACK_SEEDS = range(400)
+
+#: Message sizes around the frame payload (1460 B): empty, one byte,
+#: exact multiples and one-byte overhangs, up to a few dozen frames.
+TRAIN_SIZES = (0, 1, 1459, 1460, 1461, 2920, 2921, 7300, 14_600, 20_000, 43_800)
+
+
+def random_train_scenario(seed):
+    """2-5 senders, most starting on an exact frame boundary of a
+    sender that began at 0 (the clock's own sum of frame times), some
+    sharing a boundary, a few mid-frame; half with a backoff RNG."""
+    rng = random.Random(seed)
+    probe = Ethernet(Environment(), 2)
+    frame = probe.frame_seconds(probe.frame_format.payload_bytes)
+    boundaries = [0.0]
+    for _ in range(40):
+        boundaries.append(boundaries[-1] + frame)
+    senders = []
+    for name in range(rng.randint(2, 5)):
+        if rng.random() < 0.85:
+            start = rng.choice(boundaries[:rng.choice((3, 12, 40))])
+        else:
+            start = rng.uniform(0.0, 40 * frame)
+        src = rng.randrange(4)
+        dst = (src + rng.randrange(1, 4)) % 4
+        senders.append((name, src, dst, rng.choice(TRAIN_SIZES), start))
+    backoff_seed = rng.randrange(2 ** 32) if rng.random() < 0.5 else None
+    return senders, backoff_seed
+
+
+def check_train_matches_reference(seed):
+    senders, backoff_seed = random_train_scenario(seed)
+
+    def run(transfer_fn):
+        """Every observable of ``run_scenario``, plus the backoff RNG's
+        next draw."""
+        rng = None if backoff_seed is None else random.Random(backoff_seed)
+        observed = run_scenario(Ethernet, transfer_fn, senders, backoff_rng=rng)
+        return observed, None if rng is None else rng.random()
+
+    expected = run(ethernet_reference)
+    assert run(current_transfer) == expected, (senders, backoff_seed)
+    assert len(expected[0][0]) == len(senders)
+
+
+if HAVE_HYPOTHESIS:
+
+    class TestTrainWithHypothesis:
+        @settings(max_examples=400, deadline=None)
+        @given(st.integers(min_value=0, max_value=2 ** 63))
+        def test_train_matches_per_frame_loop(self, seed):
+            check_train_matches_reference(seed)
+
+else:  # pragma: no cover - exercised on bare images
+
+    class TestTrainWithRandomSeeds:
+        @pytest.mark.parametrize("seed", FALLBACK_SEEDS)
+        def test_train_matches_per_frame_loop(self, seed):
+            check_train_matches_reference(seed)

@@ -18,8 +18,9 @@ import tracemalloc
 import pytest
 
 from repro.core.cache import ResultCache
+from repro.core.executors import ProcessPoolExecutor
 from repro.core.progress import CacheHit, JobFinished, JobStarted, RunCompleted
-from repro.core.scheduler import ProcessPoolExecutor, Scheduler
+from repro.core.scheduler import Scheduler
 from repro.errors import EvaluationError, ServiceError
 from repro.service.registry import DEFAULT_USER, JobRegistry, normalize_user
 from repro.history import HistoryStore

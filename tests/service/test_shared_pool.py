@@ -18,9 +18,10 @@ import pytest
 
 from repro.core import executors
 from repro.core.cache import ResultCache
+from repro.core.executors import ProcessPoolExecutor
 from repro.core.jobs import execute_job
 from repro.core.progress import RunCompleted
-from repro.core.scheduler import ProcessPoolExecutor, Scheduler
+from repro.core.scheduler import Scheduler
 from repro.history import HistoryStore
 from repro.service.client import ServiceClient
 from repro.service.registry import JobRegistry

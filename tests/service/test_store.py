@@ -172,7 +172,7 @@ class TestCompletedIsOneHistoryRow:
         assert record["user"] == "alice"
         assert record["git_sha"] == "abc1234"
         assert record["spec_hash"] == spec_hash(SPEC)
-        assert record["engine"] == "event"
+        assert "engine" not in record
         assert record["backend"] == "serial"
         assert cell_rows(store, "r1") == (1, 1)
         assert store.stats()["recorded"] == 1

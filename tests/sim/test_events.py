@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, PENDING, Timeout
+from repro.sim import AllOf, Environment, Event, PENDING, Timeout
 
 
 @pytest.fixture
@@ -144,21 +144,6 @@ class TestConditions:
         assert result["values"] == [1, 2]
         assert result["time"] == pytest.approx(2.0)
 
-    def test_any_of_fires_on_first(self, env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        result = {}
-
-        def proc(env):
-            cv = yield env.any_of([t1, t2])
-            result["values"] = cv.values()
-            result["time"] = env.now
-
-        env.process(proc(env))
-        env.run()
-        assert result["values"] == ["fast"]
-        assert result["time"] == pytest.approx(1.0)
-
     def test_empty_all_of_fires_immediately(self, env):
         fired = []
 
@@ -204,7 +189,7 @@ class TestConditions:
         t_here = env.timeout(1.0)
         t_there = other.timeout(1.0)
         with pytest.raises(ValueError):
-            AnyOf(env, [t_here, t_there])
+            AllOf(env, [t_here, t_there])
 
 
 class TestRepr:

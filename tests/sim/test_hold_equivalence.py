@@ -26,7 +26,7 @@ import pytest
 from repro.core.jobs import execute_job
 from repro.core.spec import EvaluationSpec
 from repro.hardware.node import Node, NodeSpec
-from repro.net import AllnodeSwitch, AtmLan, FddiRing
+from repro.net import AllnodeSwitch, AtmLan, Ethernet, FddiRing
 from repro.net.atm import _CELL_BYTES, cells_for
 from repro.sim import Environment, Hold, Resource
 
@@ -283,6 +283,27 @@ class TestHoldScenarios:
 # ----------------------------------------------------------------------
 
 
+def ethernet_transfer_reference(net, src, dst, nbytes):
+    """The original per-frame ``Ethernet.transfer`` loop: a claim, a
+    backoff draw when a rival is queued, and a timeout per frame."""
+    net.validate_endpoints(src, dst)
+    start = net.env.now
+    wire_total = 0
+    busy_total = 0.0
+    for payload in net.frame_format.frame_payloads(nbytes):
+        with net._medium.request() as claim:
+            yield claim
+            if net._backoff_rng is not None and net._medium.queue_length > 0:
+                yield net.env.timeout(net._backoff_rng.uniform(0.0, net._max_backoff))
+            frame_time = net.frame_seconds(payload)
+            yield net.env.timeout(frame_time)
+        wire_total += net.frame_format.wire_bytes(payload)
+        busy_total += frame_time
+    yield net.env.timeout(net.propagation_seconds)
+    net._record(src, dst, nbytes, wire_total, busy_total)
+    return net.env.now - start
+
+
 def fddi_transfer_reference(net, src, dst, nbytes):
     """The original ``FddiRing.transfer`` body, token via the old loop."""
     net.validate_endpoints(src, dst)
@@ -349,6 +370,7 @@ def test_noisy_samples_bit_identical_on_paper_platforms(monkeypatch):
     monkeypatch.setattr(FddiRing, "transfer", fddi_transfer_reference)
     monkeypatch.setattr(AtmLan, "transfer", atm_transfer_reference)
     monkeypatch.setattr(AllnodeSwitch, "transfer", crossbar_transfer_reference)
+    monkeypatch.setattr(Ethernet, "transfer", ethernet_transfer_reference)
     reference = [_bits(execute_job(job)) for job in jobs]
 
     mismatched = [job.label() for job, a, b in zip(jobs, current, reference) if a != b]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, FilterStore, Resource, Store
+from repro.sim import Environment, FilterStore, Resource, Store, Train
 
 
 @pytest.fixture
@@ -140,6 +140,111 @@ class TestResource:
             env.run()
         env.run()
         assert log == [0.0]
+
+
+def frame_loop(env, resource, frames, seconds, last_seconds):
+    """The per-frame loop a :class:`Train` stands for (no backoff)."""
+    busy = 0.0
+    for index in range(frames):
+        frame = seconds if index < frames - 1 else last_seconds
+        with resource.request() as claim:
+            yield claim
+            yield env.timeout(frame)
+        busy += frame
+    return busy
+
+
+def yield_train(env, resource, frames, seconds, last_seconds):
+    return (yield Train(resource, frames, seconds, last_seconds))
+
+
+class TestTrain:
+    def test_invalid_trains_are_refused(self, env):
+        with pytest.raises(ValueError, match="exclusive"):
+            Train(Resource(env, capacity=2), 1, 1.0, 1.0)
+        segment = Resource(env)
+        with pytest.raises(ValueError, match="frame"):
+            Train(segment, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            Train(segment, 2, 1.0, 0.0)
+        assert segment.count == 0 and segment.queue_length == 0
+
+    def test_fires_with_the_left_to_right_busy_sum(self, env):
+        segment = Resource(env)
+        seen = []
+
+        def sender():
+            busy = yield Train(segment, 4, 0.1, 0.7)
+            seen.append((env.now, busy, segment.count))
+
+        env.process(sender())
+        env.run()
+        expected = 0.0
+        for frame in (0.1, 0.1, 0.1, 0.7):
+            expected += frame
+        assert seen == [(expected, expected, 0)]
+
+    def test_uncontended_run_is_one_timer(self, env):
+        segment = Resource(env)
+        env.process(yield_train(env, segment, 100, 0.25, 0.5))
+        env.run()
+        # The process's start and end, one claim and one timer; the
+        # loop schedules a claim and a timeout per frame.
+        assert env._eid() == 4
+
+    def test_resumes_in_its_last_timers_slot(self):
+        """A process waiting on a train resumes where the loop's
+        process resumed after its last frame, not a hop later: an
+        event queued at that instant in between runs after it."""
+
+        def run(shape):
+            env = Environment()
+            segment = Resource(env)
+            order = []
+
+            def sender():
+                yield from shape(env, segment, 3, 0.25, 0.5)
+                order.append((env.now, "sender"))
+
+            def bystander():
+                yield env.timeout(1.0)  # queued before any frame
+                yield env.timeout(0.0)  # queued at the last frame's end
+                order.append((env.now, "bystander"))
+
+            env.process(sender())
+            env.process(bystander())
+            env.run()
+            return order
+
+        assert run(yield_train) == run(frame_loop) == [(1.0, "sender"), (1.0, "bystander")]
+
+    def test_a_rival_is_granted_at_the_end_of_the_frame_in_flight(self):
+        def run(shape):
+            env = Environment()
+            segment = Resource(env)
+            order = []
+
+            def sender():
+                busy = yield from shape(env, segment, 4, 0.25, 0.25)
+                order.append((env.now, "sender", busy))
+
+            def rival(at):
+                yield env.timeout(at)
+                with segment.request() as claim:
+                    yield claim
+                    order.append((env.now, "rival", at))
+                    yield env.timeout(0.125)
+
+            env.process(sender())
+            env.process(rival(0.375))  # inside the second frame
+            env.process(rival(0.875))  # exactly on the third frame's end
+            env.run()
+            return order
+
+        expected = run(frame_loop)
+        assert run(yield_train) == expected
+        assert expected == [(0.5, "rival", 0.375), (0.875, "rival", 0.875),
+                            (1.25, "sender", 1.0)]
 
 
 class TestStore:

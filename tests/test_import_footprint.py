@@ -23,9 +23,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 COORDINATOR = """
 import sys
+from repro.core.executors import create_executor
 from repro.core.jobs import canonical_job
 from repro.core.results import ResultSet
-from repro.core.scheduler import Scheduler, create_executor
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 import repro.service.client
 
