@@ -4,7 +4,7 @@ The disk cache exists so sweeps survive processes; the question is
 what that durability costs on the warm path.  One tiny spec runs cold
 into a DiskBackend, then re-runs warm three ways — in-memory, disk
 (fresh process simulated by a fresh Scheduler + backend over the same
-directory, so every hit really parses a JSON file) and a 4-way
+directory, so every hit really parses its line of the segment) and a 4-way
 sharded disk cache.  All warm paths must stay far cheaper than
 re-simulating; disk may cost more than memory, but the point is that
 it replaces *simulation*, not a dict lookup.
@@ -45,7 +45,7 @@ def test_backend_warm_paths(benchmark, tmp_path):
     _, memory_s = _timed(lambda: memory.run(spec))
 
     # Fresh Scheduler + backend over the same directory: the resume
-    # path, where every sample is re-read from its JSON entry.
+    # path, where every sample is re-read from its segment line.
     disk = Scheduler(cache=ResultCache(DiskBackend(root)))
     warm = run_once(benchmark, lambda: _timed(lambda: disk.run(spec)))
     disk_s = warm[1]

@@ -8,10 +8,10 @@ across hosts:
 * :class:`CacheBackend` — the protocol every store implements:
   string keys, ``get``/``put``/``__contains__``/``__len__``/``clear``.
 * :class:`MemoryBackend` — the original behavior, a dict.
-* :class:`DiskBackend` — one content-addressed JSON file per entry
-  under a cache directory, written atomically (temp file +
-  ``os.replace``) so a killed sweep never leaves a torn entry.
-  Entries are self-describing (they embed the job and a schema
+* :class:`DiskBackend` — an append-only log under a cache directory:
+  each writer appends one JSON line per entry to a segment file it
+  owns, and a line a killed sweep left torn reads as a miss.  Entries
+  are self-describing (they embed the key, the job and a schema
   version); entries written by an older schema read as misses, so
   stale formats invalidate themselves instead of corrupting runs.
 * :class:`ShardedBackend` — routes each key deterministically to one
@@ -31,13 +31,14 @@ backend; ``ResultCache()`` is still purely in-memory.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import tempfile
 import threading
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.jobs import MeasurementJob
 from repro.errors import EvaluationError
@@ -68,6 +69,10 @@ CACHE_SCHEMA_VERSION = 1
 #: misses and duplicates are written.  The manifest turns that drift
 #: into a loud :class:`EvaluationError` at open time instead.
 CACHE_MANIFEST_NAME = "manifest.json"
+
+#: A :class:`DiskBackend` segment is ``seg-<pid>-<token>.jsonl``.
+_SEGMENT_PREFIX = "seg-"
+_SEGMENT_SUFFIX = ".jsonl"
 
 
 class _Missing(object):
@@ -100,8 +105,8 @@ def read_cache_manifest(root: str) -> Optional[dict]:
     """The directory's layout manifest, or None if absent/unreadable.
 
     Corrupt or half-written manifests read as absent rather than
-    raising: the layout is then re-inferred from the directory
-    contents, which is what pre-manifest directories get anyway.
+    raising: :func:`resolve_cache_layout` then recovers the roster
+    from the directory itself.
     """
     try:
         with open(os.path.join(os.fspath(root), CACHE_MANIFEST_NAME), "r") as handle:
@@ -144,34 +149,43 @@ def _write_cache_manifest(root: str, shards: int, layout: str) -> None:
         raise
 
 
-def _infer_cache_layout(root: str) -> Optional[Tuple[int, str]]:
-    """Infer ``(shards, layout)`` from a pre-manifest directory.
+def _is_segment(name: str) -> bool:
+    return name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
 
-    ``shard-NN`` subdirectories mean a sharded layout (their count is
-    the roster size); two-hex-digit fanout buckets mean the flat
-    single-backend layout; an empty or unrelated directory infers
-    nothing.
+
+def _segment_names(root: str) -> List[str]:
+    """The segments directly under ``root``, sorted."""
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return []
+    return sorted(filter(_is_segment, names))
+
+
+def _unrecorded_layout(root: str) -> Optional[Tuple[int, str]]:
+    """The roster of a directory whose manifest is torn or gone.
+
+    A directory that holds a manifest file or a segment is one of
+    ours: its ``shard-NN`` directories give the roster (flat without
+    any), so it is neither re-routed nor overwritten as fresh.  A
+    directory of the older one-file-per-entry layout holds neither
+    and records nothing.
     """
     try:
-        names = os.listdir(os.fspath(root))
+        names = os.listdir(root)
     except OSError:
         return None
     shard_dirs = [
-        name
+        os.path.join(root, name)
         for name in names
         if name.startswith("shard-")
         and name[len("shard-"):].isdigit()
         and os.path.isdir(os.path.join(root, name))
     ]
-    if shard_dirs:
+    if shard_dirs and (CACHE_MANIFEST_NAME in names or any(map(_segment_names, shard_dirs))):
         return len(shard_dirs), "sharded"
-    for name in names:
-        if (
-            len(name) == 2
-            and all(ch in "0123456789abcdef" for ch in name)
-            and os.path.isdir(os.path.join(root, name))
-        ):
-            return 1, "flat"
+    if any(map(_is_segment, names)):
+        return 1, "flat"
     return None
 
 
@@ -182,20 +196,21 @@ def resolve_cache_layout(
 ) -> Tuple[int, str]:
     """Reconcile a requested shard roster with what ``root`` holds.
 
-    ``shards=None`` adopts whatever the directory records (manifest
-    first, inferred layout for pre-manifest directories, flat for a
-    fresh one).  An explicit request must match the record — a
-    mismatch raises :class:`EvaluationError` naming both counts,
-    because silently re-routing keys would turn every warm entry into
-    a miss and write duplicates.
+    ``shards=None`` adopts whatever the directory's manifest records
+    (flat for a directory without one).  A torn or lost manifest is
+    recovered from the directory's ``shard-NN`` directories and
+    segments.  An explicit request must match the record — a mismatch
+    raises :class:`EvaluationError` naming both counts, because
+    silently re-routing keys would turn every warm entry into a miss
+    and write duplicates.
     """
     if shards is not None and shards < 1:
         raise EvaluationError("shards must be >= 1")
     manifest = read_cache_manifest(root)
     if manifest is not None:
-        recorded: Optional[Tuple[int, str]] = (manifest["shards"], manifest["layout"])
+        recorded = manifest["shards"], manifest["layout"]
     else:
-        recorded = _infer_cache_layout(root)
+        recorded = _unrecorded_layout(os.fspath(root))
     if recorded is None:
         if shards is None:
             return 1, layout or "flat"
@@ -216,6 +231,31 @@ def resolve_cache_layout(
             % (root, recorded_layout, layout, recorded_shards)
         )
     return recorded_shards, recorded_layout
+
+
+def _try_lock(fd: int) -> bool:
+    """Take the exclusive ``flock`` on ``fd`` if nobody holds it."""
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        return False
+    return True
+
+
+class _Writer(object):
+    """An append descriptor on a segment its process holds the
+    ``flock`` of.  ``base`` is the segment's size when it was taken:
+    every byte past it is a line this writer appended (and memoized)."""
+
+    __slots__ = ("pid", "fd", "name", "base", "close", "__weakref__")
+
+    def __init__(self, pid: int, fd: int, name: str, base: int) -> None:
+        self.pid, self.fd, self.name, self.base = pid, fd, name, base
+        #: Closes the descriptor, at the latest when the writer is dropped.
+        self.close = weakref.finalize(self, os.close, fd)
+
+    def owns(self, name: str) -> bool:
+        return name == self.name and self.pid == os.getpid()
 
 
 class CacheBackend(object):
@@ -297,133 +337,172 @@ class MemoryBackend(CacheBackend):
 
 
 class DiskBackend(CacheBackend):
-    """Content-addressed JSON files under ``root``, one per entry.
+    """An append-only log under ``root``: one segment per writer.
 
-    Layout is ``root/<key[:2]>/<key>.json`` (256-way directory fanout
-    keeps listings sane at millions of entries).  Writes go through a
-    temp file in the destination directory plus ``os.replace``, which
-    is atomic on POSIX: concurrent writers of the *same* key race
-    harmlessly (the entry is deterministic) and a kill mid-write
-    leaves no partial *entry* behind.  It can leave an orphaned
-    ``*.tmp`` file, though — those are swept by :meth:`clear` and
-    (age-guarded) on every open, so kill-and-resume cycles do not
-    accumulate litter.  Storing a sample the entry already holds is a
-    read, not a write: a remote worker persists each sample before the
-    coordinator's scheduler stores it again, and the second store
-    leaves the file (inode and mtime) as it was.
+    Every entry is one JSON line (``schema``, ``key``, ``seconds``,
+    ``job``) appended with a single ``os.write`` to a segment file
+    ``root/seg-<pid>-<token>.jsonl`` opened with ``O_APPEND``.  A
+    backend writes through a segment it holds an exclusive ``flock``
+    on: it takes an existing segment nobody holds before it creates
+    one, so a directory keeps as many segments as it ever had
+    concurrent writers, not one per run (and a cold sample costs one
+    ``write``, not a new file).  A segment taken over from a writer
+    that died mid-line first gets its torn tail terminated, and a
+    forked child never appends through its parent's descriptor.
 
-    A small read-through memo avoids re-parsing a file on repeated
-    lookups within one process; durability always comes from disk.
+    A line counts only if it ends in a newline, parses and carries the
+    current schema: a torn or foreign line reads as a miss.  The
+    latest line for a key wins within a segment; samples are
+    deterministic, so segments never disagree in practice.
+
+    Reads are served from an in-process memo.  A miss in ``get``,
+    ``get_many`` or ``put`` refreshes it once per call by tailing each
+    segment that grew since the last refresh, so entries other
+    processes append (fleet workers, a killed run being resumed) show
+    up.  Storing a sample the memo already holds after that refresh
+    writes nothing: a remote worker persists each sample before the
+    coordinator's scheduler stores it again.  ``keys``, ``entries``,
+    ``__len__`` and ``clear`` scan every segment in full.
+
+    Files of the older one-file-per-entry layout (``<key[:2]>/...``)
+    are ignored: their entries read as misses and are never deleted.
 
     Thread-safe: one disk-backed cache may serve several concurrent
     scheduler runs (``repro serve --cache-dir`` does exactly this), so
-    the memo — a plain dict mutated on every read-through and write —
-    is guarded by a lock.  File I/O itself stays outside the lock:
-    the atomic ``os.replace`` write protocol already makes concurrent
-    writers of the same key race harmlessly, and holding a lock across
-    a disk read would serialize every lookup of every run.
+    the memo, the segment offsets and the writer handle are guarded by
+    a lock.  File I/O stays outside it: ``O_APPEND`` writes of whole
+    lines do not interleave, and re-reading a tail twice is harmless.
     """
 
     name = "disk"
 
-    #: Age (seconds) after which an orphaned ``*.tmp`` file is swept
-    #: on open.  A temp file this old cannot belong to a live writer
-    #: (writes are sub-second); it is litter from a writer killed
-    #: between ``mkstemp`` and ``os.replace``.
-    STALE_TMP_SECONDS = 60.0
-
     def __init__(self, root: str) -> None:
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
-        self._memo: Dict[str, Optional[float]] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
-        # Kill-and-resume is an advertised workflow, so orphaned temp
-        # files are expected litter; sweep opportunistically on open
-        # (age-guarded: a concurrent writer's in-flight temp survives).
-        self._sweep_tmp(min_age_seconds=self.STALE_TMP_SECONDS)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
+        self._memo: Dict[str, Optional[float]] = {}  # guarded-by: _lock
+        # Keys whose memoized entry carries no job (entries() skips
+        # those, so storing the job again is a real write).
+        self._jobless: Set[str] = set()  # guarded-by: _lock
+        # Segment name -> bytes consumed, through its last complete line.
+        self._offsets: Dict[str, int] = {}  # guarded-by: _lock
+        # The segment this backend appends to, once it has written.
+        self._writer: Optional[_Writer] = None  # guarded-by: _lock
 
     @staticmethod
-    def _read_entry(path: str) -> Optional[dict]:
-        """The entry at ``path``, or None if it is unreadable, torn,
-        or written by another schema (all read as misses)."""
+    def _parse(line: bytes) -> Optional[dict]:
+        """The entry on ``line``, or None if it is torn, foreign or
+        written by another schema (all read as misses)."""
         try:
-            with open(path, "r") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
+            entry = json.loads(line)
+        except ValueError:
             return None
         if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA_VERSION:
             return None
-        if "seconds" not in entry:
+        if "seconds" not in entry or not isinstance(entry.get("key"), str):
             return None
         return entry
 
+    def _read(self, name: str, offset: int = 0) -> Tuple[int, Iterator[dict]]:
+        """The offset just past the last complete line of segment
+        ``name``, and the valid entries on the complete lines past
+        ``offset``, parsed lazily (a segment shorter than ``offset``
+        was replaced: read it afresh)."""
+        try:
+            with open(os.path.join(self.root, name), "rb") as handle:
+                if os.fstat(handle.fileno()).st_size < offset:
+                    offset = 0
+                handle.seek(offset)
+                data = handle.read()
+        except OSError:
+            return offset, iter(())
+        end = data.rfind(b"\n") + 1
+        return offset + end, filter(None, map(self._parse, data[:end].splitlines()))
+
+    def _remember_locked(self, key: str, value: Optional[float], jobless: bool) -> None:
+        self._memo[key] = value
+        if jobless:
+            self._jobless.add(key)
+        else:
+            self._jobless.discard(key)
+
+    def _refresh(self) -> None:
+        """Fold the lines appended to every segment since the last
+        refresh into the memo: one ``listdir``, one ``stat`` per
+        segment, and a read only of the segments that grew."""
+        with self._lock:
+            offsets = dict(self._offsets)
+            writer = self._writer
+        # Segment -> (new offset, key -> (sample, jobless)); the parsed
+        # entries (jobs and all) are dropped as soon as they are read.
+        grown: Dict[str, Tuple[int, Dict[str, Tuple[Optional[float], bool]]]] = {}
+        for name in _segment_names(self.root):
+            offset = offsets.get(name, 0)
+            if writer is not None and writer.owns(name) and offset >= writer.base:
+                continue  # only our own lines, all memoized as written
+            try:
+                size = os.stat(os.path.join(self.root, name)).st_size
+            except OSError:
+                continue  # cleared under us
+            if size != offset:
+                end, entries = self._read(name, offset)
+                grown[name] = end, {
+                    entry["key"]: (entry["seconds"], entry.get("job") is None)
+                    for entry in entries
+                }
+        if not grown:
+            return
+        with self._lock:
+            for name, (offset, found) in grown.items():
+                self._offsets[name] = offset
+                for key, (value, jobless) in found.items():
+                    self._remember_locked(key, value, jobless)
+
+    def _scan(self) -> Dict[str, dict]:
+        """Every servable entry in every segment, by key (latest wins)."""
+        entries: Dict[str, dict] = {}
+        for name in _segment_names(self.root):
+            for entry in self._read(name)[1]:
+                entries[entry["key"]] = entry
+        return entries
+
     def get(self, key: str):
         with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        entry = self._read_entry(self._path(key))
-        if entry is None:
-            return MISSING
-        value = entry["seconds"]
-        with self._lock:
-            self._memo[key] = value
+            value = self._memo.get(key, MISSING)
+        if value is MISSING:
+            self._refresh()
+            with self._lock:
+                value = self._memo.get(key, MISSING)
         return value
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
-        """Bulk probe: one ``listdir`` per fanout bucket.
-
-        A cold sweep probing N absent keys one at a time pays N failed
-        ``open`` calls; listing each touched bucket once and reading
-        only the files actually present turns that into one syscall
-        per *bucket*.  Memoized keys never reach the filesystem at
-        all.
-        """
-        results: Dict[str, Optional[float]] = {}
-        pending: List[str] = []
+        """Bulk probe: memo lookups, and one refresh if any key misses."""
         with self._lock:
             memo = self._memo
-            for key in keys:
-                if key in memo:
-                    results[key] = memo[key]
-                else:
-                    pending.append(key)
-        if not pending:
-            return results
-        by_bucket: Dict[str, List[str]] = {}
-        for key in pending:
-            by_bucket.setdefault(key[:2], []).append(key)
-        found: Dict[str, Optional[float]] = {}
-        for bucket, bucket_keys in by_bucket.items():
-            try:
-                names = set(os.listdir(os.path.join(self.root, bucket)))
-            except OSError:
-                continue  # bucket directory absent: all misses
-            for key in bucket_keys:
-                if key + ".json" in names:
-                    entry = self._read_entry(self._path(key))
-                    if entry is not None:
-                        found[key] = entry["seconds"]
-        if found:
+            results = {key: memo[key] for key in keys if key in memo}
+        if any(key not in results for key in keys):
+            self._refresh()
             with self._lock:
-                self._memo.update(found)
-            results.update(found)
+                memo = self._memo
+                results = {key: memo[key] for key in keys if key in memo}
         return results
 
+    def _held(self, key: str, value: Optional[float], job: Optional[MeasurementJob]) -> bool:
+        with self._lock:
+            held = self._memo.get(key, MISSING)
+            return (
+                held is not MISSING
+                and held == value
+                and (job is None or key not in self._jobless)
+            )
+
     def put(self, key: str, value: Optional[float], job: Optional[MeasurementJob] = None) -> None:
-        path = self._path(key)
-        existing = self._read_entry(path)
-        if (
-            existing is not None
-            and existing["seconds"] == value
-            and (job is None or existing.get("job") is not None)
-        ):
-            # Already durable under this content address: a rewrite
-            # would change nothing but the inode.
-            with self._lock:
-                self._memo[key] = value
+        if self._held(key, value, job):
+            return
+        self._refresh()
+        if self._held(key, value, job):
+            # Already durable (another process appended it): a second
+            # line would change nothing.
             return
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
@@ -431,43 +510,67 @@ class DiskBackend(CacheBackend):
             "seconds": value,
             "job": job.to_dict() if job is not None else None,
         }
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        # Hold the writer, not just its descriptor number, for the whole
+        # append: a dropped writer's descriptor closes only once no
+        # concurrent put still uses it, so it is never reused under us.
+        writer = self._segment_writer()
+        if os.write(writer.fd, line) != len(line):
+            # A short append (disk full) leaves a torn tail: drop the
+            # segment so the next writer to take it terminates the line.
+            self._drop_writer()
+            raise OSError("short write appending to a cache segment under %s" % self.root)
         with self._lock:
-            self._memo[key] = value
+            self._remember_locked(key, value, job is None)
 
-    def _entry_paths(self) -> Iterator[str]:
-        try:
-            fanout = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for bucket in fanout:
-            bucket_dir = os.path.join(self.root, bucket)
-            if not os.path.isdir(bucket_dir):
-                continue
-            for name in sorted(os.listdir(bucket_dir)):
-                if name.endswith(".json"):
-                    yield os.path.join(bucket_dir, name)
+    def _segment_writer(self) -> "_Writer":
+        """This process's writer, taking a segment on first use."""
+        pid = os.getpid()
+        with self._lock:
+            writer = self._writer
+            if writer is None or writer.pid != pid:
+                # First write, or a forked child: never append through
+                # the parent's descriptor (closing the child's copy,
+                # which no other thread of the child can be using,
+                # leaves the parent's lock alone).
+                if writer is not None:
+                    writer.close()
+                writer = self._writer = self._take_segment(pid)
+            return writer
+
+    def _drop_writer(self) -> None:
+        """Stop appending to the current segment; its writer's finalizer
+        closes the descriptor (and frees the ``flock``) once no
+        concurrent ``put`` holds the writer any more."""
+        with self._lock:
+            self._writer = None
+
+    def _take_segment(self, pid: int) -> "_Writer":
+        """A writer on a segment this process holds the ``flock`` of:
+        a free existing one first, else a new one."""
+        flags = os.O_RDWR | os.O_APPEND
+        for name in _segment_names(self.root):
+            try:
+                fd = os.open(os.path.join(self.root, name), flags)
+            except OSError:
+                continue  # cleared under us
+            if _try_lock(fd):
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    size += os.write(fd, b"\n")  # its writer died mid-line
+                return _Writer(pid, fd, name, size)
+            os.close(fd)
+        while True:
+            name = "%s%d-%s%s" % (_SEGMENT_PREFIX, pid, os.urandom(4).hex(), _SEGMENT_SUFFIX)
+            fd = os.open(os.path.join(self.root, name), flags | os.O_CREAT | os.O_EXCL, 0o644)
+            if _try_lock(fd):
+                return _Writer(pid, fd, name, 0)
+            os.close(fd)  # another writer took it before we locked it
 
     def keys(self) -> List[str]:
         """Keys of every entry :meth:`get` could actually serve —
-        stale-schema and torn files are excluded, matching ``get``."""
-        return [
-            os.path.basename(path)[: -len(".json")]
-            for path in self._entry_paths()
-            if self._read_entry(path) is not None
-        ]
+        stale-schema and torn lines are excluded, matching ``get``."""
+        return sorted(self._scan())
 
     def entries(self) -> Iterator[Tuple[MeasurementJob, Optional[float]]]:
         """Yield every readable, schema-current ``(job, sample)`` pair.
@@ -476,9 +579,10 @@ class DiskBackend(CacheBackend):
         skipped — this is the inspection/rebuild path, so it tolerates
         partially foreign directories.
         """
-        for path in self._entry_paths():
-            entry = self._read_entry(path)
-            if entry is None or entry.get("job") is None:
+        scanned = self._scan()
+        for key in sorted(scanned):
+            entry = scanned[key]
+            if entry.get("job") is None:
                 continue
             try:
                 job = MeasurementJob.from_dict(entry["job"])
@@ -489,55 +593,21 @@ class DiskBackend(CacheBackend):
     def __len__(self) -> int:
         """How many entries are servable (consistent with ``get`` and
         ``keys``): a drained stale-schema directory counts as empty."""
-        return len(self.keys())
-
-    def _tmp_paths(self) -> Iterator[str]:
-        """Every ``mkstemp`` leftover under the fanout directories."""
-        try:
-            fanout = os.listdir(self.root)
-        except OSError:
-            return
-        for bucket in fanout:
-            bucket_dir = os.path.join(self.root, bucket)
-            if not os.path.isdir(bucket_dir):
-                continue
-            for name in os.listdir(bucket_dir):
-                if name.endswith(".tmp"):
-                    yield os.path.join(bucket_dir, name)
-
-    def _sweep_tmp(self, min_age_seconds: float = 0.0) -> int:
-        """Unlink orphaned temp files, returning how many went.
-
-        A writer that dies between ``mkstemp`` and ``os.replace``
-        leaves a ``*.tmp`` behind that no code path would ever touch
-        again.  With ``min_age_seconds`` only files at least that old
-        are removed (never a live writer's in-flight temp).
-        """
-        removed = 0
-        now = time.time()
-        for path in list(self._tmp_paths()):
-            try:
-                if min_age_seconds > 0.0:
-                    if now - os.path.getmtime(path) < min_age_seconds:
-                        continue
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass  # raced with another sweeper or writer
-        return removed
+        return len(self._scan())
 
     def clear(self) -> None:
-        for path in list(self._entry_paths()):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        # clear() means "empty this store": take the temp litter too
-        # (unconditionally — nobody clears a cache mid-write on
-        # purpose, and the old behavior left *.tmp files forever).
-        self._sweep_tmp()
+        """Delete every segment (a writer in another process keeps
+        appending to its unlinked file, which nobody reads again)."""
+        self._drop_writer()
         with self._lock:
             self._memo.clear()
+            self._jobless.clear()
+            self._offsets.clear()
+        for name in _segment_names(self.root):
+            try:
+                os.unlink(os.path.join(self.root, name))
+            except OSError:
+                pass
 
 
 class ShardedBackend(CacheBackend):
@@ -614,20 +684,19 @@ class ResultCache(object):
     cache that a killed sweep resumes from.
 
     Thread-safe: one cache may back several concurrent scheduler runs
-    (the evaluation service does exactly this), so the hit/miss
-    counters, the key memo and each lookup/store are guarded by an
-    internal lock — ``hits + misses`` always equals the number of
-    ``lookup`` calls, with no lost increments under races.
+    (the evaluation service does exactly this).  An internal lock
+    guards only the hit/miss counters and the key memo — ``hits +
+    misses`` always equals the number of lookups, with no lost
+    increments under races.  Backend I/O runs outside it (each backend
+    guards itself), so one run's store never blocks another run's
+    probe.
     """
 
     def __init__(self, backend: Optional[CacheBackend] = None) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
-        # Guards the counters, the key memo and the compound
-        # lookup-then-count / store operations below.  Reentrant so a
-        # backend callback could safely re-enter the cache.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         # job -> content key memo: hashing a job canonicalizes it to
         # JSON, which is worth doing once, not once per lookup.
         self._keys: Dict[MeasurementJob, str] = {}  # guarded-by: _lock
@@ -637,8 +706,7 @@ class ResultCache(object):
         """A persistent cache under ``cache_dir`` (sharded if > 1).
 
         ``shards=None`` adopts the directory's recorded layout (its
-        ``manifest.json``, inferred from the directory contents for
-        pre-manifest caches; a fresh directory is flat).  An explicit
+        ``manifest.json``; a directory without one is flat).  An explicit
         count must match the record — reopening with a different
         roster raises :class:`EvaluationError` naming both counts.
         """
@@ -667,13 +735,13 @@ class ResultCache(object):
     def lookup(self, job: MeasurementJob):
         """The cached sample, or the :data:`MISSING` sentinel
         (``None`` is a legitimate sample: "Not Available")."""
+        value = self.backend.get(self.key(job))
         with self._lock:
-            value = self.backend.get(self.key(job))
             if value is MISSING:
                 self.misses += 1
             else:
                 self.hits += 1
-            return value
+        return value
 
     def get_many(self, jobs) -> Dict[MeasurementJob, Optional[float]]:
         """Bulk :meth:`lookup`: cached samples for ``jobs`` as a dict.
@@ -681,45 +749,39 @@ class ResultCache(object):
         Jobs with no entry are simply absent from the result (never
         mapped to :data:`MISSING` — a cached ``None`` sample is "Not
         Available", so presence must be the membership test).  One
-        lock acquisition covers key memoization, the backend's bulk
-        probe (one directory listing per touched bucket on disk) and
-        the counters; each *unique* job counts exactly one hit or
-        miss, matching what a deduplicating per-job ``lookup`` loop
-        would have recorded.
+        lock acquisition memoizes the keys, one backend bulk probe
+        runs outside it, and one more counts; each *unique* job counts
+        exactly one hit or miss, matching what a deduplicating per-job
+        ``lookup`` loop would have recorded.
         """
+        keys: Dict[MeasurementJob, str] = {}
         with self._lock:
-            keys: Dict[MeasurementJob, str] = {}
             for job in jobs:
                 if job not in keys:
                     key = self._keys.get(job)
                     if key is None:
                         key = self._keys[job] = job_key(job)
                     keys[job] = key
-            found = self.backend.get_many(list(keys.values()))
-            results: Dict[MeasurementJob, Optional[float]] = {}
-            for job, key in keys.items():
-                if key in found:
-                    results[job] = found[key]
-                    self.hits += 1
-                else:
-                    self.misses += 1
-            return results
+        found = self.backend.get_many(list(keys.values()))
+        results = {job: found[key] for job, key in keys.items() if key in found}
+        with self._lock:
+            self.hits += len(results)
+            self.misses += len(keys) - len(results)
+        return results
 
     def store(self, job: MeasurementJob, value: Optional[float]) -> None:
-        with self._lock:
-            self.backend.put(self.key(job), value, job)
+        self.backend.put(self.key(job), value, job)
 
     def peek(self, job: MeasurementJob) -> Optional[float]:
         """The cached sample, without touching the hit/miss counters."""
-        with self._lock:
-            value = self.backend.get(self.key(job))
+        value = self.backend.get(self.key(job))
         if value is MISSING:
             raise KeyError(job)
         return value
 
     def clear(self) -> None:
+        self.backend.clear()
         with self._lock:
-            self.backend.clear()
             self._keys.clear()
             self.hits = 0
             self.misses = 0

@@ -478,8 +478,8 @@ class Scheduler(object):
     """
 
     #: Jobs probed against the cache per bulk ``get_many`` round-trip
-    #: (one lock acquisition and, on disk, one directory listing per
-    #: touched fanout bucket — instead of one probe per job).
+    #: (one lock acquisition and, on disk, at most one refresh of the
+    #: segment tails — instead of one probe per job).
     PROBE_CHUNK = 256
 
     def __init__(
@@ -567,8 +567,8 @@ class Scheduler(object):
             while True:
                 # Probe the cache a chunk at a time: one get_many call
                 # replaces PROBE_CHUNK individual lookups (and, on
-                # disk, one listdir per bucket replaces one open
-                # attempt per job).
+                # disk, one refresh of the segment tails replaces one
+                # per missing job).
                 chunk = list(itertools.islice(source, self.PROBE_CHUNK))
                 if not chunk:
                     return

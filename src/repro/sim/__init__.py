@@ -22,7 +22,6 @@ Public API
 
 from repro.sim.events import (
     AllOf,
-    Condition,
     ConditionValue,
     Event,
     Interrupt,
@@ -39,7 +38,6 @@ from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "Condition",
     "ConditionValue",
     "Environment",
     "Event",

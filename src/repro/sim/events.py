@@ -28,7 +28,6 @@ __all__ = [
     "TimeoutUntil",
     "Initialize",
     "ConditionValue",
-    "Condition",
     "AllOf",
     "Interruption",
     "Interrupt",
@@ -251,23 +250,17 @@ class ConditionValue(object):
         return {event: event.value for event in self.events}
 
 
-class Condition(Event):
-    """Composite event over multiple sub-events.
+class AllOf(Event):
+    """Composite event that fires once *all* sub-events have fired.
 
-    ``evaluate`` receives the full event list and the count of events
-    triggered so far and decides whether the condition holds.
+    Its value is a :class:`ConditionValue` of the sub-events; the
+    first sub-event to fail fails the whole condition with its value.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",  # noqa: F821
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super(Condition, self).__init__(env)
-        self._evaluate = evaluate
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
+        super(AllOf, self).__init__(env)
         self._events = list(events)
         self._count = 0
 
@@ -286,12 +279,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _collect_values(self) -> ConditionValue:
-        # Only *processed* events belong to the result.  (Timeouts carry
-        # their value from creation, so `triggered` would wrongly include
-        # sub-events that have not fired yet.)
-        return ConditionValue([event for event in self._events if event.processed])
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -300,21 +287,8 @@ class Condition(Event):
             # Any sub-event failure fails the whole condition.
             event.defused = True
             self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Condition that fires once *all* sub-events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super(AllOf, self).__init__(env, _all_events, events)
-
-
-def _all_events(events: List[Event], count: int) -> bool:
-    return count == len(events)
+        elif self._count == len(self._events):
+            self.succeed(ConditionValue(self._events))
 
 
 class Interrupt(Exception):

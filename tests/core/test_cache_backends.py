@@ -1,7 +1,9 @@
 """Unit tests for the cache storage stack (memory, disk, sharded)."""
 
+import glob
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -19,6 +21,11 @@ from repro.errors import EvaluationError
 
 JOB = sendrecv_job("p4", "sun-ethernet", 1024)
 OTHER = sendrecv_job("pvm", "sun-ethernet", 1024)
+
+
+def segments(root):
+    """The segment files of the disk backend at ``root``."""
+    return sorted(glob.glob(os.path.join(str(root), "seg-*.jsonl")))
 
 
 class TestJobKey:
@@ -78,11 +85,12 @@ class TestDiskBackend:
         backend = DiskBackend(str(tmp_path))
         key = job_key(JOB)
         backend.put(key, 0.25, JOB)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
-        entry = json.load(open(path))
+        del backend
+        [path] = segments(tmp_path)
+        entry = json.loads(pathlib.Path(path).read_text())
         entry["schema"] = CACHE_SCHEMA_VERSION - 1
         with open(path, "w") as handle:
-            json.dump(entry, handle)
+            handle.write(json.dumps(entry) + "\n")
         fresh = DiskBackend(str(tmp_path))
         assert fresh.get(key) is MISSING
         assert list(fresh.entries()) == []
@@ -94,81 +102,124 @@ class TestDiskBackend:
         backend = DiskBackend(str(tmp_path))
         key = job_key(JOB)
         backend.put(key, 0.25, JOB)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
+        del backend
+        [path] = segments(tmp_path)
         with open(path, "w") as handle:
-            handle.write("{not json")
+            handle.write("{not json\n")
         fresh = DiskBackend(str(tmp_path))
         assert fresh.get(key) is MISSING
         assert list(fresh.entries()) == []
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage", "empty"])
     def test_torn_entry_is_a_miss_everywhere(self, tmp_path, damage):
-        """A torn write (truncated JSON, binary garbage, empty file)
-        must read as a miss through *every* read surface — get, keys,
-        entries and len — never as an exception or a phantom entry."""
+        """A torn last line (cut short by a kill, binary garbage, an
+        empty line) must read as a miss through *every* read surface —
+        get, keys, entries and len — never as an exception or a
+        phantom entry, and must not take the line before it along."""
         backend = DiskBackend(str(tmp_path))
         torn_key = job_key(JOB)
-        backend.put(torn_key, 0.25, JOB)
         backend.put(job_key(OTHER), 0.5, OTHER)
-        path = os.path.join(str(tmp_path), torn_key[:2], torn_key + ".json")
-        if damage == "truncate":
-            whole = open(path).read()
-            with open(path, "w") as handle:
-                handle.write(whole[: len(whole) // 2])
-        elif damage == "garbage":
-            with open(path, "wb") as handle:
-                handle.write(b"\x00\xff\x13garbage")
-        else:
-            open(path, "w").close()
+        backend.put(torn_key, 0.25, JOB)
+        del backend
+        [path] = segments(tmp_path)
+        kept, last = pathlib.Path(path).read_bytes().splitlines(keepends=True)
+        damaged = {
+            "truncate": last[: len(last) // 2],
+            "garbage": b"\x00\xff\x13garbage\n",
+            "empty": b"\n",
+        }[damage]
+        with open(path, "wb") as handle:
+            handle.write(kept + damaged)
         fresh = DiskBackend(str(tmp_path))
         assert fresh.get(torn_key) is MISSING
         assert fresh.keys() == [job_key(OTHER)]
         assert dict(fresh.entries()) == {OTHER: 0.5}
         assert len(fresh) == 1
 
-    def test_clear_sweeps_orphaned_tmp_files(self, tmp_path):
-        """A writer killed between mkstemp and os.replace leaves a
-        *.tmp behind; clear() must take it along with the entries."""
+    def test_truncated_tail_is_terminated_by_the_next_writer(self, tmp_path):
+        """A segment whose last line was cut short: that entry is a
+        miss, and the first line the next writer appends after it
+        still reads back (it is not glued onto the torn fragment)."""
         backend = DiskBackend(str(tmp_path))
+        backend.put(job_key(OTHER), 0.5, OTHER)
+        backend.put(job_key(JOB), 0.25, JOB)
+        del backend
+        [path] = segments(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 7)
+        third = sendrecv_job("mpi", "sun-ethernet", 1024)
+        writer = DiskBackend(str(tmp_path))
+        assert writer.get(job_key(JOB)) is MISSING
+        writer.put(job_key(third), 0.75, third)
+        assert segments(tmp_path) == [path]  # took the free segment
+        fresh = DiskBackend(str(tmp_path))
+        assert fresh.get(job_key(third)) == 0.75
+        assert fresh.get(job_key(JOB)) is MISSING
+        assert dict(fresh.entries()) == {OTHER: 0.5, third: 0.75}
+
+    def test_clear_removes_every_segment_but_no_foreign_file(self, tmp_path):
+        """clear() deletes the segments of every writer; files of the
+        one-file-per-entry layout are not the store's and stay."""
         key = job_key(JOB)
-        backend.put(key, 0.25, JOB)
-        orphan = os.path.join(str(tmp_path), key[:2], "tmp_dead_writer.tmp")
-        with open(orphan, "w") as handle:
-            handle.write('{"schema":')  # torn, as a real kill leaves it
-        backend.clear()
-        assert not os.path.exists(orphan)
+        legacy = os.path.join(str(tmp_path), key[:2], key + ".json")
+        os.makedirs(os.path.dirname(legacy))
+        with open(legacy, "w") as handle:
+            handle.write("{}")
+        first, second = DiskBackend(str(tmp_path)), DiskBackend(str(tmp_path))
+        first.put(key, 0.25, JOB)
+        second.put(job_key(OTHER), 0.5, OTHER)
+        assert len(segments(tmp_path)) == 2
+        first.clear()
+        assert segments(tmp_path) == []
+        assert os.path.exists(legacy)
         assert len(DiskBackend(str(tmp_path))) == 0
+        first.put(key, 0.25, JOB)  # writes again after a clear
+        assert DiskBackend(str(tmp_path)).get(key) == 0.25
 
-    def test_open_sweeps_stale_tmp_but_spares_fresh_ones(self, tmp_path):
-        """Opening a cache directory removes tmp litter old enough to
-        be orphaned, but never a concurrent writer's in-flight file."""
-        backend = DiskBackend(str(tmp_path))
-        key = job_key(JOB)
-        backend.put(key, 0.25, JOB)
-        bucket = os.path.join(str(tmp_path), key[:2])
-        stale = os.path.join(bucket, "tmp_stale.tmp")
-        fresh = os.path.join(bucket, "tmp_fresh.tmp")
-        for path in (stale, fresh):
-            open(path, "w").close()
-        long_ago = os.path.getmtime(stale) - 2 * DiskBackend.STALE_TMP_SECONDS
-        os.utime(stale, (long_ago, long_ago))
-        reopened = DiskBackend(str(tmp_path))
-        assert not os.path.exists(stale)
-        assert os.path.exists(fresh)  # in-flight writer unharmed
-        assert reopened.get(key) == 0.25  # entries untouched
+    def test_writers_reuse_free_segments(self, tmp_path):
+        """Concurrent writers each own a segment; a later writer takes
+        a free one instead of creating another, so the segment count
+        stays at the peak number of concurrent writers."""
+        keys = [job_key(sendrecv_job("p4", "sun-ethernet", 1024, seed=s))
+                for s in range(4)]
+        first, second = DiskBackend(str(tmp_path)), DiskBackend(str(tmp_path))
+        first.put(keys[0], 0.0)
+        second.put(keys[1], 1.0)
+        assert len(segments(tmp_path)) == 2
+        del first, second
+        for index in (2, 3):
+            DiskBackend(str(tmp_path)).put(keys[index], float(index))
+        assert len(segments(tmp_path)) == 2
+        fresh = DiskBackend(str(tmp_path))
+        assert [fresh.get(key) for key in keys] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_write_is_atomic_no_temp_droppings(self, tmp_path):
+    def test_one_segment_no_litter(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
         for index in range(8):
             backend.put(job_key(sendrecv_job("p4", "sun-ethernet", 1024, seed=index)),
                         float(index))
-        leftovers = [
-            name
-            for _, _, names in os.walk(str(tmp_path))
-            for name in names
-            if not name.endswith(".json")
-        ]
-        assert leftovers == []
+        files = [os.path.join(directory, name)
+                 for directory, _, names in os.walk(str(tmp_path))
+                 for name in names]
+        assert files == segments(tmp_path)
+        assert len(pathlib.Path(files[0]).read_text().splitlines()) == 8
+
+    def test_a_dropped_writer_stays_open_while_an_append_holds_it(self, tmp_path):
+        """clear() (or a short write) on one thread drops the writer a
+        put on another thread may be appending through: its descriptor
+        must stay open until that put lets go, or the append could land
+        in whatever file reused the descriptor number."""
+        backend = DiskBackend(str(tmp_path))
+        backend.put(job_key(JOB), 0.25, JOB)
+        in_flight = backend._segment_writer()  # what a concurrent put holds
+        backend.clear()
+        assert in_flight.close.alive
+        os.fstat(in_flight.fd)
+        closer = in_flight.close
+        del in_flight
+        assert not closer.alive
+        backend.put(job_key(OTHER), 0.5, OTHER)
+        assert DiskBackend(str(tmp_path)).get(job_key(OTHER)) == 0.5
 
     def test_clear_removes_entries(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
@@ -394,6 +445,61 @@ class TestConcurrentAccess:
         assert cache.misses == 0
 
 
+    def test_a_slow_store_does_not_block_other_probes(self):
+        """The cache lock covers only the key memo and the counters:
+        while one run's store sits in backend I/O, another run's
+        lookup and bulk probe go straight through."""
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowPut(MemoryBackend):
+            def put(self, key, value, job=None):
+                entered.set()
+                release.wait(30)
+                super(SlowPut, self).put(key, value, job)
+
+        cache = ResultCache(SlowPut())
+        storer = threading.Thread(target=cache.store, args=(JOB, 1.0))
+        storer.start()
+        try:
+            assert entered.wait(30)
+            probed = threading.Thread(
+                target=lambda: (cache.lookup(OTHER), cache.get_many([OTHER, JOB])))
+            probed.start()
+            probed.join(10)
+            assert not probed.is_alive()
+        finally:
+            release.set()
+            storer.join()
+        assert (cache.hits, cache.misses) == (0, 3)
+        assert cache.lookup(JOB) == 1.0
+
+    def test_disk_counters_account_exactly_under_threads(self, tmp_path):
+        """``hits + misses`` equals the lookups made, bulk or single,
+        with backend I/O running outside the cache lock."""
+        threads, rounds = 8, 20
+        cache = ResultCache.on_disk(str(tmp_path), shards=2)
+        jobs = [sendrecv_job("p4", "sun-ethernet", 1024, seed=s) for s in range(6)]
+        for job in jobs[:3]:
+            cache.store(job, 1.0)
+
+        def worker(index):
+            for _ in range(rounds):
+                if index % 2:
+                    assert set(cache.get_many(jobs)) == set(jobs[:3])
+                else:
+                    assert cache.lookup(jobs[index % 6]) == (
+                        1.0 if index % 6 < 3 else MISSING)
+
+        self._hammer(worker, threads)
+        bulk = threads // 2 * rounds
+        single = threads // 2 * rounds
+        assert cache.hits + cache.misses == bulk * len(jobs) + single
+        assert cache.hits == bulk * 3 + rounds * sum(
+            1 for index in range(0, threads, 2) if index % 6 < 3)
+
+
 class TestCacheManifest:
     """The shard roster is part of the on-disk layout; reopening with
     a different one must fail loudly instead of silently re-routing."""
@@ -427,27 +533,30 @@ class TestCacheManifest:
         message = str(excinfo.value)
         assert "2" in message and "shards=5" in message
 
-    def test_pre_manifest_directories_are_inferred(self, tmp_path):
-        from repro.core.cache import CACHE_MANIFEST_NAME
-
-        # A PR-6-era directory has entries but no manifest; the layout
-        # is inferred from its shard-NN (or hex-fanout) directories.
-        legacy = str(tmp_path / "legacy")
+    def test_pre_manifest_directories_open_as_fresh(self, tmp_path):
+        """A directory of the one-file-per-entry era with no manifest
+        (shard-NN or hex-fanout subdirectories) opens as a fresh cache
+        with whatever roster is asked for: its entries read as misses,
+        and its files are left in place."""
         key = job_key(JOB)
-        ResultCache.on_disk(legacy, shards=3).backend.put(key, 0.5)
-        os.unlink(os.path.join(legacy, CACHE_MANIFEST_NAME))
-        with pytest.raises(EvaluationError):
-            ResultCache.on_disk(legacy, shards=2)
-        adopted = ResultCache.on_disk(legacy)
-        assert len(adopted.backend.backends) == 3
-        assert adopted.backend.get(key) == 0.5
+        entry = json.dumps({"schema": CACHE_SCHEMA_VERSION, "key": key,
+                            "seconds": 0.5, "job": JOB.to_dict()})
+        legacy, flat = str(tmp_path / "legacy"), str(tmp_path / "flat")
+        old_files = [os.path.join(legacy, "shard-%02d" % index, key[:2], key + ".json")
+                     for index in range(3)]
+        old_files.append(os.path.join(flat, key[:2], key + ".json"))
+        for path in old_files:
+            os.makedirs(os.path.dirname(path))
+            with open(path, "w") as handle:
+                handle.write(entry)
 
-        flat = str(tmp_path / "flat")
-        ResultCache.on_disk(flat, shards=1).backend.put(key, 0.25)
-        os.unlink(os.path.join(flat, CACHE_MANIFEST_NAME))
-        with pytest.raises(EvaluationError):
-            ResultCache.on_disk(flat, shards=4)
-        assert isinstance(ResultCache.on_disk(flat).backend, DiskBackend)
+        reopened = ResultCache.on_disk(legacy, shards=2)
+        assert len(reopened.backend.backends) == 2
+        assert reopened.lookup(JOB) is MISSING and len(reopened) == 0
+        adopted = ResultCache.on_disk(flat)
+        assert isinstance(adopted.backend, DiskBackend)
+        assert adopted.lookup(JOB) is MISSING and len(adopted) == 0
+        assert all(os.path.exists(path) for path in old_files)
 
     def test_corrupt_manifest_reads_as_absent(self, tmp_path):
         from repro.core.cache import CACHE_MANIFEST_NAME, read_cache_manifest
@@ -462,3 +571,37 @@ class TestCacheManifest:
             ResultCache.on_disk(root, shards=3)
         reopened = ResultCache.on_disk(root)
         assert len(reopened.backend.backends) == 2
+        assert read_cache_manifest(root)["shards"] == 2
+
+    @pytest.mark.parametrize("damage", ["torn", "lost"])
+    def test_a_damaged_manifest_is_recovered_not_overwritten(self, tmp_path, damage):
+        """A sharded directory with entries whose manifest is torn or
+        deleted reopens with its own roster and serves its entries; it
+        is neither re-routed nor recorded afresh as flat."""
+        from repro.core.cache import CACHE_MANIFEST_NAME, read_cache_manifest
+
+        root = str(tmp_path)
+        ResultCache.on_disk(root, shards=4).store(JOB, 0.5)
+        path = os.path.join(root, CACHE_MANIFEST_NAME)
+        if damage == "torn":
+            with open(path, "w") as handle:
+                handle.write('{"schema": 1, "sha')
+        else:
+            os.unlink(path)
+        with pytest.raises(EvaluationError, match="created with 4 shard"):
+            ResultCache.on_disk(root, shards=3)
+        reopened = ResultCache.on_disk(root)
+        assert len(reopened.backend.backends) == 4
+        assert reopened.lookup(JOB) == 0.5
+        assert read_cache_manifest(root)["shards"] == 4
+        assert ResultCache.on_disk(root, shards=4).lookup(JOB) == 0.5
+
+    def test_a_flat_directory_without_its_manifest_stays_flat(self, tmp_path):
+        from repro.core.cache import CACHE_MANIFEST_NAME
+
+        root = str(tmp_path)
+        ResultCache.on_disk(root).store(JOB, 0.5)
+        os.unlink(os.path.join(root, CACHE_MANIFEST_NAME))
+        with pytest.raises(EvaluationError, match="created with 1 shard"):
+            ResultCache.on_disk(root, shards=2)
+        assert ResultCache.on_disk(root).lookup(JOB) == 0.5

@@ -3,8 +3,8 @@
 The scheduler probes jobs in chunks, so one ``get_many`` must behave
 exactly like N ``get`` calls — same presence semantics (absent keys
 simply omitted, ``None`` values preserved), same hit/miss accounting
-at the :class:`ResultCache` layer, and one listdir per bucket on disk
-instead of one stat per key.
+at the :class:`ResultCache` layer, and on disk at most one refresh of
+the segment tails per probe instead of one read per key.
 """
 
 import os
@@ -54,23 +54,27 @@ class TestBackends:
             else:
                 assert single is MISSING
 
-    def test_disk_get_many_spans_buckets_and_memo(self):
+    def test_disk_get_many_refreshes_then_serves_the_memo(self):
         stored = jobs(8)
         with tempfile.TemporaryDirectory() as root:
             backend = DiskBackend(root)
             keys = [job_key(job) for job in stored]
             for job, key in zip(stored[:5], keys[:5]):
                 backend.put(key, 1.5, job)
-            assert len({key[:2] for key in keys[:5]}) > 1  # really spans buckets
 
             # A fresh backend over the same directory: the resume path,
             # where nothing is memoized yet.
             fresh = DiskBackend(root)
             found = fresh.get_many(keys)
             assert found == {key: 1.5 for key in keys[:5]}
-            # Second probe answers from the memo (delete the files to prove it).
-            for key in keys[:5]:
-                os.unlink(fresh._path(key))
+            # A miss refreshes the memo from the segment tails, so a
+            # line another writer appended since shows up ...
+            backend.put(keys[5], None, stored[5])
+            assert fresh.get_many(keys) == dict(found, **{keys[5]: None})
+            # ... and a probe that hits throughout answers from the
+            # memo (delete the segments to prove it).
+            for name in os.listdir(root):
+                os.unlink(os.path.join(root, name))
             assert fresh.get_many(keys[:5]) == found
 
     def test_default_backend_implementation_loops(self):

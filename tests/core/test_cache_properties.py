@@ -8,14 +8,15 @@ The properties themselves:
 * any :class:`MeasurementJob` stored in a :class:`DiskBackend` reads
   back equal — value through a fresh backend over the same directory,
   and the job itself reconstructed from the on-disk entry;
-* storing the same sample again writes nothing (same inode and mtime,
-  no temp file) but still serves later reads from the memo, while a
-  different sample, a torn file, a stale-schema file or an entry
-  without its job under the key is overwritten;
+* storing the same sample again appends nothing but still serves
+  later reads from the memo, while a different sample, a torn line, a
+  stale-schema line or an entry without its job under the key is
+  superseded;
 * :class:`ShardedBackend` routes every key to exactly one shard, and
   any two processes holding the same roster agree on the placement.
 """
 
+import glob
 import json
 import os
 import random
@@ -93,32 +94,27 @@ def check_disk_round_trip(seed: int) -> None:
 
 
 def check_idempotent_put(root: str, job: MeasurementJob, value) -> None:
-    """Re-storing the entry's own sample is a no-op on disk; anything
-    else sitting under the key is replaced by the stored sample."""
+    """Re-storing the entry's own sample appends nothing; anything
+    else the log holds under the key is superseded by the stored
+    sample."""
     key = job_key(job)
-    path = os.path.join(root, key[:2], key + ".json")
-
-    def identity():
-        stat = os.stat(path)
-        return stat.st_ino, stat.st_mtime_ns
-
-    before = identity()
+    [path] = glob.glob(os.path.join(root, "seg-*.jsonl"))
+    before = os.path.getsize(path)
     again = DiskBackend(root)
     again.put(key, value, job)
-    assert identity() == before
-    assert not [name for name in os.listdir(os.path.dirname(path))
-                if name.endswith(".tmp")]
+    assert os.path.getsize(path) == before
+    assert glob.glob(os.path.join(root, "seg-*.jsonl")) == [path]
     os.unlink(path)
     assert again.get(key) == value  # the skip path filled the memo
 
     entry = {"schema": CACHE_SCHEMA_VERSION, "key": key,
              "seconds": 1.0 if value is None else None, "job": job.to_dict()}
     damages = {
-        "other-value": json.dumps(entry),
+        "other-value": json.dumps(entry) + "\n",
         "torn": json.dumps(entry)[:20],
         "stale-schema": json.dumps(dict(entry, schema=CACHE_SCHEMA_VERSION - 1,
-                                        seconds=value)),
-        "no-job": json.dumps(dict(entry, seconds=value, job=None)),
+                                        seconds=value)) + "\n",
+        "no-job": json.dumps(dict(entry, seconds=value, job=None)) + "\n",
     }
     for damage, text in damages.items():
         with open(path, "w") as handle:

@@ -315,13 +315,28 @@ class TestWrapperEquivalence:
 
 class TestCancel:
     def _start_and_cancel_after(self, scheduler, spec, finished_jobs):
-        handle = scheduler.start(spec)
-        finished = 0
+        """Cancel from a thread consuming ``events()`` once it has seen
+        the ``finished_jobs``-th job finish.  The run thread is held
+        right after that job until the consumer's ``cancel()`` is in:
+        unheld, it can finish many more jobs (every one, on a small
+        grid) before the consumer gets the interpreter lock."""
+        cancel_sent = threading.Event()
+        finished = []
+
+        def hold_until_cancelled(event):
+            if isinstance(event, JobFinished):
+                finished.append(event)
+                if len(finished) == finished_jobs:
+                    cancel_sent.wait(60)
+
+        handle = scheduler.start(spec, on_event=hold_until_cancelled)
+        seen = 0
         for event in handle.events():
             if isinstance(event, JobFinished):
-                finished += 1
-                if finished == finished_jobs:
+                seen += 1
+                if seen == finished_jobs:
                     handle.cancel()
+                    cancel_sent.set()
         return handle
 
     def test_cancel_mid_run_drops_queued_keeps_finished(self, tmp_path):
