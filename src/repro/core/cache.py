@@ -14,6 +14,11 @@ across hosts:
   are self-describing (they embed the key, the job and a schema
   version); entries written by an older schema read as misses, so
   stale formats invalidate themselves instead of corrupting runs.
+  What a process has read of a directory (the memo of its entries and
+  how far each segment was read) is one index per directory, shared
+  by every backend the process opens over it: reopening a cache tails
+  only the lines appended since.  A backend opened over an index
+  whose read bytes are no longer on disk unchanged starts a new one.
 * :class:`ShardedBackend` — routes each key deterministically to one
   of N child backends, the layout for multi-host fan-out (give every
   host the shard roster and they agree on placement with no
@@ -244,18 +249,231 @@ def _try_lock(fd: int) -> bool:
 
 class _Writer(object):
     """An append descriptor on a segment its process holds the
-    ``flock`` of.  ``base`` is the segment's size when it was taken:
-    every byte past it is a line this writer appended (and memoized)."""
+    ``flock`` of."""
 
-    __slots__ = ("pid", "fd", "name", "base", "close", "__weakref__")
+    __slots__ = ("pid", "fd", "name", "close", "__weakref__")
 
-    def __init__(self, pid: int, fd: int, name: str, base: int) -> None:
-        self.pid, self.fd, self.name, self.base = pid, fd, name, base
+    def __init__(self, pid: int, fd: int, name: str) -> None:
+        self.pid, self.fd, self.name = pid, fd, name
         #: Closes the descriptor, at the latest when the writer is dropped.
         self.close = weakref.finalize(self, os.close, fd)
 
-    def owns(self, name: str) -> bool:
-        return name == self.name and self.pid == os.getpid()
+
+def _complete_lines(path: str, offset: int = 0) -> Tuple[int, bytes]:
+    """The complete lines of segment ``path`` past ``offset``, and the
+    offset they start at: 0 if the segment is now shorter than
+    ``offset`` (it was rewritten).  Raises :class:`OSError` if the
+    segment is gone."""
+    with open(path, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size < offset:
+            offset = 0
+        handle.seek(offset)
+        data = handle.read()
+    return offset, data[: data.rfind(b"\n") + 1]
+
+
+def _entries(data: bytes) -> Iterator[dict]:
+    """The valid entries on the complete lines ``data``, parsed lazily."""
+    return filter(None, map(DiskBackend._parse, data.splitlines()))
+
+
+class _Consumed(object):
+    """How much of one segment an index has read: the offset just past
+    the last complete line read, and a digest of every byte before it."""
+
+    __slots__ = ("offset", "digest")
+
+    def __init__(self) -> None:
+        self.offset = 0
+        self.digest = hashlib.sha256()
+
+    def consume(self, data: bytes) -> None:
+        self.digest.update(data)
+        self.offset += len(data)
+
+    def intact(self, path: str) -> bool:
+        """Whether ``path`` still begins with exactly the bytes read."""
+        digest, left = hashlib.sha256(), self.offset
+        try:
+            with open(path, "rb") as handle:
+                while left:
+                    chunk = handle.read(min(left, 1 << 20))
+                    if not chunk:
+                        return False  # shrank
+                    digest.update(chunk)
+                    left -= len(chunk)
+        except OSError:
+            return False  # gone
+        return digest.digest() == self.digest.digest()
+
+
+class _DirectoryIndex(object):
+    """What this process has read of one cache directory: the memo of
+    its entries and, per segment, how far it was read.
+
+    The memo holds exactly the entries on the consumed bytes, and each
+    consumed prefix carries a digest: while every prefix is still on
+    disk unchanged, the memo is what a fresh read of them would give.
+
+    ``_tail_lock`` serializes whatever moves a consumed offset (a read
+    of a segment's tail, an append and its accounting); ``_lock``
+    guards the memo alone, so a probe never waits for file I/O.
+    """
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+        self._lock = threading.Lock()
+        self._tail_lock = threading.Lock()
+        self._memo: Dict[str, Optional[float]] = {}  # guarded-by: _lock
+        # Keys whose memoized entry carries no job (entries() skips
+        # those, so storing the job again is a real write).
+        self._jobless: Set[str] = set()  # guarded-by: _lock
+        self._consumed: Dict[str, _Consumed] = {}  # guarded-by: _tail_lock
+        # Set once a segment was seen to shrink: the memo may hold lines
+        # that are gone, so no later backend adopts this index.
+        self._stale = False  # guarded-by: _tail_lock
+
+    def get(self, key: str):
+        with self._lock:
+            return self._memo.get(key, MISSING)
+
+    def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
+        with self._lock:
+            memo = self._memo
+            return {key: memo[key] for key in keys if key in memo}
+
+    def held(self, key: str, value: Optional[float], job: Optional[MeasurementJob]) -> bool:
+        """Whether storing ``value`` (with ``job``) would change nothing."""
+        with self._lock:
+            held = self._memo.get(key, MISSING)
+            return (
+                held is not MISSING
+                and held == value
+                and (job is None or key not in self._jobless)
+            )
+
+    def intact(self) -> bool:
+        """Whether every byte this index read is still on disk,
+        unchanged (a segment gone, shrunk or rewritten fails)."""
+        with self._tail_lock:
+            return not self._stale and all(
+                consumed.intact(os.path.join(self.root, name))
+                for name, consumed in self._consumed.items()
+            )
+
+    def _remember(self, found: Dict[str, Tuple[Optional[float], bool]]) -> None:
+        with self._lock:
+            for key, (value, jobless) in found.items():
+                self._memo[key] = value
+                if jobless:
+                    self._jobless.add(key)
+                else:
+                    self._jobless.discard(key)
+
+    def _tail_locked(self, name: str) -> Dict[str, Tuple[Optional[float], bool]]:
+        """Consume the complete lines of segment ``name`` past what was
+        read of it; their entries as key -> (sample, jobless), latest
+        wins.  The parsed entries (jobs and all) are dropped at once."""
+        consumed = self._consumed.get(name)
+        offset = consumed.offset if consumed is not None else 0
+        try:
+            start, data = _complete_lines(os.path.join(self.root, name), offset)
+        except OSError:
+            return {}  # cleared under us
+        if start < offset:
+            self._stale = True  # rewritten: the memo may hold lines now gone
+        if consumed is None or start < offset:
+            consumed = self._consumed[name] = _Consumed()
+        consumed.consume(data)
+        return {entry["key"]: (entry["seconds"], entry.get("job") is None)
+                for entry in _entries(data)}
+
+    def refresh(self) -> None:
+        """Fold the lines appended to every segment since it was last
+        read into the memo: one ``listdir``, one ``stat`` per segment,
+        and a read only of the segments that grew."""
+        with self._tail_lock:
+            found: Dict[str, Tuple[Optional[float], bool]] = {}
+            for name in _segment_names(self.root):
+                consumed = self._consumed.get(name)
+                try:
+                    size = os.stat(os.path.join(self.root, name)).st_size
+                except OSError:
+                    continue  # cleared under us
+                if size != (consumed.offset if consumed is not None else 0):
+                    found.update(self._tail_locked(name))
+            if found:
+                self._remember(found)
+
+    def append(self, writer: _Writer, key: str, value: Optional[float],
+               jobless: bool, line: bytes) -> bool:
+        """Append ``line``, the entry for ``key``, through ``writer``
+        and consume it; False on a short write.  The writer is the
+        segment's only appender, so its size after the write places the
+        line.  A segment new to this index, or taken over with a tail it
+        never read, is read up to the line instead: the memo never holds
+        a line the consumed digest does not cover."""
+        with self._tail_lock:
+            if os.write(writer.fd, line) != len(line):
+                return False
+            start = os.fstat(writer.fd).st_size - len(line)
+            consumed = self._consumed.get(writer.name)
+            if consumed is not None and consumed.offset == start:
+                consumed.consume(line)
+                self._remember({key: (value, jobless)})
+            else:
+                self._remember(self._tail_locked(writer.name))
+            return True
+
+    def reset(self) -> None:
+        """Forget everything read: the segments were deleted."""
+        with self._tail_lock:
+            self._consumed.clear()
+            self._stale = False
+            with self._lock:
+                self._memo.clear()
+                self._jobless.clear()
+
+
+class _Indexes(object):
+    """This process's :class:`_DirectoryIndex` per cache directory, by
+    real path.  :meth:`attach` adopts the registered index only while
+    it is intact; otherwise it registers a new, empty one and drops
+    every index whose directory no longer exists."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._by_path: Dict[str, _DirectoryIndex] = {}  # guarded-by: _lock
+
+    def attach(self, root: str) -> _DirectoryIndex:
+        path = os.path.realpath(root)
+        while True:
+            with self._lock:
+                index = self._by_path.get(path)
+            # Checked outside the registry lock: it reads every segment.
+            if index is not None and index.intact():
+                return index
+            with self._lock:
+                if self._by_path.get(path) is index:
+                    for gone in [other for other in self._by_path
+                                 if not os.path.isdir(other)]:
+                        del self._by_path[gone]
+                    index = self._by_path[path] = _DirectoryIndex(path)
+                    return index
+            # Another thread replaced it meanwhile: check that one.
+
+
+_INDEXES = _Indexes()
+
+
+def _forget_indexes() -> None:
+    """A forked child starts with no indexes: a lock another thread of
+    the parent held at the fork would stay held in the child forever."""
+    global _INDEXES
+    _INDEXES = _Indexes()
+
+
+os.register_at_fork(after_in_child=_forget_indexes)
 
 
 class CacheBackend(object):
@@ -364,14 +582,30 @@ class DiskBackend(CacheBackend):
     coordinator's scheduler stores it again.  ``keys``, ``entries``,
     ``__len__`` and ``clear`` scan every segment in full.
 
+    The memo and the read offsets are not the backend's own: every
+    backend this process opens over the same real path shares one
+    index of the directory, so a scheduler built per pass over one
+    cache reads only what was appended since the last pass, not the
+    whole log.  Every append advances the index too.  On
+    open, a backend re-hashes every byte the index has read and
+    compares digests; if a segment is gone, shorter or different (the
+    directory was removed and recreated, another process cleared it, a
+    segment was rewritten in place), or a refresh saw a segment shrink,
+    it drops that index and starts a new one, which reads the directory
+    afresh.  So a backend serves what a fresh read of the directory at
+    its open would, plus what appears after.  :meth:`clear` empties
+    the shared index.  Opening a new index also drops every registered
+    index whose directory no longer exists; a forked child starts with
+    none.  Writers and their descriptors stay per backend.
+
     Files of the older one-file-per-entry layout (``<key[:2]>/...``)
     are ignored: their entries read as misses and are never deleted.
 
     Thread-safe: one disk-backed cache may serve several concurrent
-    scheduler runs (``repro serve --cache-dir`` does exactly this), so
-    the memo, the segment offsets and the writer handle are guarded by
-    a lock.  File I/O stays outside it: ``O_APPEND`` writes of whole
-    lines do not interleave, and re-reading a tail twice is harmless.
+    scheduler runs (``repro serve --cache-dir`` does exactly this).
+    The writer handle is guarded by the backend's lock; the index
+    serializes its tail reads and appends under one lock and guards
+    the memo under another, so a probe never waits for file I/O.
     """
 
     name = "disk"
@@ -380,12 +614,7 @@ class DiskBackend(CacheBackend):
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.Lock()
-        self._memo: Dict[str, Optional[float]] = {}  # guarded-by: _lock
-        # Keys whose memoized entry carries no job (entries() skips
-        # those, so storing the job again is a real write).
-        self._jobless: Set[str] = set()  # guarded-by: _lock
-        # Segment name -> bytes consumed, through its last complete line.
-        self._offsets: Dict[str, int] = {}  # guarded-by: _lock
+        self._index = _INDEXES.attach(self.root)
         # The segment this backend appends to, once it has written.
         self._writer: Optional[_Writer] = None  # guarded-by: _lock
 
@@ -403,104 +632,39 @@ class DiskBackend(CacheBackend):
             return None
         return entry
 
-    def _read(self, name: str, offset: int = 0) -> Tuple[int, Iterator[dict]]:
-        """The offset just past the last complete line of segment
-        ``name``, and the valid entries on the complete lines past
-        ``offset``, parsed lazily (a segment shorter than ``offset``
-        was replaced: read it afresh)."""
-        try:
-            with open(os.path.join(self.root, name), "rb") as handle:
-                if os.fstat(handle.fileno()).st_size < offset:
-                    offset = 0
-                handle.seek(offset)
-                data = handle.read()
-        except OSError:
-            return offset, iter(())
-        end = data.rfind(b"\n") + 1
-        return offset + end, filter(None, map(self._parse, data[:end].splitlines()))
-
-    def _remember_locked(self, key: str, value: Optional[float], jobless: bool) -> None:
-        self._memo[key] = value
-        if jobless:
-            self._jobless.add(key)
-        else:
-            self._jobless.discard(key)
-
-    def _refresh(self) -> None:
-        """Fold the lines appended to every segment since the last
-        refresh into the memo: one ``listdir``, one ``stat`` per
-        segment, and a read only of the segments that grew."""
-        with self._lock:
-            offsets = dict(self._offsets)
-            writer = self._writer
-        # Segment -> (new offset, key -> (sample, jobless)); the parsed
-        # entries (jobs and all) are dropped as soon as they are read.
-        grown: Dict[str, Tuple[int, Dict[str, Tuple[Optional[float], bool]]]] = {}
-        for name in _segment_names(self.root):
-            offset = offsets.get(name, 0)
-            if writer is not None and writer.owns(name) and offset >= writer.base:
-                continue  # only our own lines, all memoized as written
-            try:
-                size = os.stat(os.path.join(self.root, name)).st_size
-            except OSError:
-                continue  # cleared under us
-            if size != offset:
-                end, entries = self._read(name, offset)
-                grown[name] = end, {
-                    entry["key"]: (entry["seconds"], entry.get("job") is None)
-                    for entry in entries
-                }
-        if not grown:
-            return
-        with self._lock:
-            for name, (offset, found) in grown.items():
-                self._offsets[name] = offset
-                for key, (value, jobless) in found.items():
-                    self._remember_locked(key, value, jobless)
-
     def _scan(self) -> Dict[str, dict]:
         """Every servable entry in every segment, by key (latest wins)."""
         entries: Dict[str, dict] = {}
         for name in _segment_names(self.root):
-            for entry in self._read(name)[1]:
+            try:
+                data = _complete_lines(os.path.join(self.root, name))[1]
+            except OSError:
+                continue  # cleared under us
+            for entry in _entries(data):
                 entries[entry["key"]] = entry
         return entries
 
     def get(self, key: str):
-        with self._lock:
-            value = self._memo.get(key, MISSING)
+        value = self._index.get(key)
         if value is MISSING:
-            self._refresh()
-            with self._lock:
-                value = self._memo.get(key, MISSING)
+            self._index.refresh()
+            value = self._index.get(key)
         return value
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
         """Bulk probe: memo lookups, and one refresh if any key misses."""
-        with self._lock:
-            memo = self._memo
-            results = {key: memo[key] for key in keys if key in memo}
+        results = self._index.get_many(keys)
         if any(key not in results for key in keys):
-            self._refresh()
-            with self._lock:
-                memo = self._memo
-                results = {key: memo[key] for key in keys if key in memo}
+            self._index.refresh()
+            results = self._index.get_many(keys)
         return results
 
-    def _held(self, key: str, value: Optional[float], job: Optional[MeasurementJob]) -> bool:
-        with self._lock:
-            held = self._memo.get(key, MISSING)
-            return (
-                held is not MISSING
-                and held == value
-                and (job is None or key not in self._jobless)
-            )
-
     def put(self, key: str, value: Optional[float], job: Optional[MeasurementJob] = None) -> None:
-        if self._held(key, value, job):
+        index = self._index
+        if index.held(key, value, job):
             return
-        self._refresh()
-        if self._held(key, value, job):
+        index.refresh()
+        if index.held(key, value, job):
             # Already durable (another process appended it): a second
             # line would change nothing.
             return
@@ -515,13 +679,11 @@ class DiskBackend(CacheBackend):
         # append: a dropped writer's descriptor closes only once no
         # concurrent put still uses it, so it is never reused under us.
         writer = self._segment_writer()
-        if os.write(writer.fd, line) != len(line):
+        if not index.append(writer, key, value, job is None, line):
             # A short append (disk full) leaves a torn tail: drop the
             # segment so the next writer to take it terminates the line.
             self._drop_writer()
             raise OSError("short write appending to a cache segment under %s" % self.root)
-        with self._lock:
-            self._remember_locked(key, value, job is None)
 
     def _segment_writer(self) -> "_Writer":
         """This process's writer, taking a segment on first use."""
@@ -557,14 +719,14 @@ class DiskBackend(CacheBackend):
             if _try_lock(fd):
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
-                    size += os.write(fd, b"\n")  # its writer died mid-line
-                return _Writer(pid, fd, name, size)
+                    os.write(fd, b"\n")  # its writer died mid-line
+                return _Writer(pid, fd, name)
             os.close(fd)
         while True:
             name = "%s%d-%s%s" % (_SEGMENT_PREFIX, pid, os.urandom(4).hex(), _SEGMENT_SUFFIX)
             fd = os.open(os.path.join(self.root, name), flags | os.O_CREAT | os.O_EXCL, 0o644)
             if _try_lock(fd):
-                return _Writer(pid, fd, name, 0)
+                return _Writer(pid, fd, name)
             os.close(fd)  # another writer took it before we locked it
 
     def keys(self) -> List[str]:
@@ -597,17 +759,16 @@ class DiskBackend(CacheBackend):
 
     def clear(self) -> None:
         """Delete every segment (a writer in another process keeps
-        appending to its unlinked file, which nobody reads again)."""
+        appending to its unlinked file, which nobody reads again), then
+        empty the index every backend of this process over ``root``
+        shares."""
         self._drop_writer()
-        with self._lock:
-            self._memo.clear()
-            self._jobless.clear()
-            self._offsets.clear()
         for name in _segment_names(self.root):
             try:
                 os.unlink(os.path.join(self.root, name))
             except OSError:
                 pass
+        self._index.reset()
 
 
 class ShardedBackend(CacheBackend):

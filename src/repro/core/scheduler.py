@@ -343,6 +343,12 @@ class RunHandle(object):
         No new jobs are dispatched after the request is observed;
         in-flight work finishes and its samples persist to the cache.
         Idempotent; a no-op once the run's last outcome arrived.
+
+        A cancel issued from an :meth:`events` consumer thread lands
+        several jobs late on a CPU-bound run (the consumer waits for
+        the interpreter lock while the run thread keeps dispatching);
+        one issued from the ``on_event`` callback lands exactly after
+        the event that triggered it.
         """
         self._cancel_event.set()
 
@@ -358,6 +364,12 @@ class RunHandle(object):
         Blocks between events while the run is active and ends after
         the final event.  Several iterators may run concurrently; each
         sees the full stream.
+
+        A consumer thread lags a CPU-bound run by several jobs: it
+        waits for the interpreter lock and the run's condition lock
+        while the run thread keeps going, so a cancel or a progress
+        display driven from here is late.  The ``on_event`` callback
+        runs synchronously as each event is released, and is exact.
         """
         if not self._buffer_events:
             raise EvaluationError(
