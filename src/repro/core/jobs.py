@@ -44,6 +44,13 @@ class MeasurementJob:
     (``0.0`` = deterministic); it is part of the job's content
     address, so noisy and deterministic runs never share a cache
     entry.
+
+    The hash is the hash of the field tuple, as the generated
+    dataclass ``__hash__`` computed it, but taken once at construction
+    and kept outside the fields: a warm re-sweep hashes each job many
+    times, in every set and dict of the pass.  String hashes differ
+    between processes, so an unpickled job (or a copy) hashes afresh
+    rather than carrying the sender's value.
     """
 
     kind: str
@@ -63,6 +70,19 @@ class MeasurementJob:
         object.__setattr__(
             self, "noise", validate_noise(self.noise, EvaluationError)
         )
+        _seal(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_hash"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        _seal(self)
 
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
@@ -135,6 +155,15 @@ class MeasurementJob:
         return text
 
 
+def _seal(job: MeasurementJob) -> None:
+    """Cache ``job``'s hash: that of its field tuple, so set and dict
+    iteration orders match the generated dataclass hash."""
+    object.__setattr__(job, "_hash", hash((
+        job.kind, job.tool, job.platform, job.processors, job.params,
+        job.seed, job.noise,
+    )))
+
+
 @functools.lru_cache(maxsize=None)
 def _app_seed_sensitive(app: Optional[str]) -> bool:
     """The ``seed_sensitive`` declaration of the application ``app``
@@ -162,6 +191,7 @@ def canonical_job(job: MeasurementJob) -> MeasurementJob:
         return job
     canonical = object.__new__(MeasurementJob)
     canonical.__dict__.update(job.__dict__, seed=0)
+    _seal(canonical)  # the copied hash is the seed-N job's
     return canonical
 
 

@@ -3,8 +3,9 @@
 The methodology compares tools, so scores are *relative*: for a
 lower-is-better measurement set, each tool scores
 ``best_value / own_value`` — 1.0 for the winner, shrinking toward 0
-as a tool falls behind.  A tool that cannot perform an operation at
-all (PVM's missing global sum) scores 0 for it, which is the natural
+as a tool falls behind (when the best value is 0, every slower tool
+scores 0).  A tool that cannot perform an operation at all (PVM's
+missing global sum) scores 0 for it, which is the natural
 quantification of "Not Available".
 """
 
@@ -75,7 +76,7 @@ def ratio_scores(values: Dict[str, Optional[float]]) -> Dict[str, float]:
         elif value <= 0:
             scores[tool] = 1.0
         else:
-            scores[tool] = best / value if best > 0 else 1.0
+            scores[tool] = best / value
     return scores
 
 

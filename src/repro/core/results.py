@@ -7,7 +7,10 @@ a full :class:`~repro.core.evaluation.EvaluationReport` for any
 (platform, weight profile, seed) cell of the grid, cross-platform /
 cross-profile comparison tables, and a JSON export of both raw
 samples and scores.  Re-weighting is a pure function of stored
-samples, which is what makes multi-profile sweeps free.
+samples, and everything a profile does not change — each set's
+ratio scores, the level aggregates — is computed once per
+(platform, seed) cell, so a profile costs one weighted sum per tool.
+That is what makes multi-profile sweeps free.
 """
 
 from __future__ import annotations
@@ -26,39 +29,65 @@ from repro.errors import EvaluationError
 
 __all__ = ["ResultSet", "collect_tpl_sets", "collect_apl_sets"]
 
+_LEVELS = ("tpl", "apl")
 
-def _collect(jobs, name, values) -> MeasurementSet:
-    return MeasurementSet(name, [Measurement(job.tool, values[job]) for job in jobs])
+
+def _sample_index(values) -> Dict[tuple, Optional[float]]:
+    """``values`` keyed by each job's field tuple, so a cell's sets are
+    looked up from the spec's layout without building a job."""
+    return {
+        (job.kind, job.tool, job.platform, job.processors, job.params,
+         job.seed, job.noise): value
+        for job, value in values.items()
+    }
+
+
+def _collect_cell(spec, layout, index, platform: str, seed: int):
+    """``({level key: [MeasurementSet]}, [missing field tuples])`` for
+    one (platform, seed) cell, in ``layout`` (report) order."""
+    sets = {key: [] for key in _LEVELS}
+    missing = []
+    for level, name, kind, processors, params in layout:
+        measurements = []
+        for tool in spec.tools:
+            fields = (kind, tool, platform, processors, params, seed, spec.noise)
+            if fields in index:
+                measurements.append(Measurement(tool, index[fields]))
+            else:
+                missing.append(fields)
+        sets[level].append(MeasurementSet(name, measurements))
+    return sets, missing
+
+
+def _collect(spec, platform: str, seed: int, values, level: str) -> List[MeasurementSet]:
+    layout = [entry for entry in spec.set_layout() if entry[0] == level]
+    sets, missing = _collect_cell(spec, layout, _sample_index(values), platform, seed)
+    if missing:
+        raise KeyError(MeasurementJob(*missing[0]))
+    return sets[level]
 
 
 def collect_tpl_sets(spec, platform: str, seed: int, values) -> List[MeasurementSet]:
     """Group TPL job samples into the classic named measurement sets."""
-    by_kind_size = {}
-    for job in spec.tpl_jobs(platform, seed):
-        by_kind_size.setdefault((job.kind, job.params), []).append(job)
-    sets = []
-    names = {"sendrecv": "send/receive %dB", "broadcast": "broadcast %dB",
-             "ring": "ring %dB"}
-    for (kind, params), jobs in by_kind_size.items():
-        params = dict(params)
-        if kind == "global_sum":
-            name = "global sum %d ints" % params["vector_ints"]
-        else:
-            name = names[kind] % params["nbytes"]
-        sets.append(_collect(jobs, name, values))
-    return sets
+    return _collect(spec, platform, seed, values, "tpl")
 
 
 def collect_apl_sets(spec, platform: str, seed: int, values) -> List[MeasurementSet]:
     """Group APL job samples into one measurement set per application."""
-    by_app = {}
-    for job in spec.apl_jobs(platform, seed):
-        by_app.setdefault(job.params_dict()["app"], []).append(job)
-    return [_collect(jobs, app, values) for app, jobs in by_app.items()]
+    return _collect(spec, platform, seed, values, "apl")
 
 
 class ResultSet(object):
-    """Samples for every job of one spec, and the scoring on top."""
+    """Samples for every job of one spec, and the scoring on top.
+
+    Built once, a result set never changes, so it memoizes: the
+    measurement sets of each (platform, seed) cell are grouped at
+    construction (from the jobs already in ``values``, not a second
+    expansion of the spec), and the first report of a cell keeps its
+    profile-independent scores.  Every later report of that cell, for
+    any profile, reads them; each report still gets its own score and
+    ``detail`` dicts.
+    """
 
     def __init__(
         self,
@@ -66,27 +95,37 @@ class ResultSet(object):
         values: Dict[MeasurementJob, Optional[float]],
         telemetry: Optional[Dict[MeasurementJob, "JobTelemetry"]] = None,
     ) -> None:
-        missing = [job for job in spec.jobs() if job not in values]
-        if missing:
-            raise EvaluationError(
-                "result set is missing %d of the spec's jobs (first: %s) — "
-                "a cancelled or partial run cannot score; re-run the spec "
-                "over the same cache to fill the grid"
-                % (len(missing), missing[0].label())
-            )
         self.spec = spec
         self.values = dict(values)
         #: job -> :class:`~repro.core.scheduler.JobTelemetry` for the
         #: pass that produced this set (may be empty for hand-built
         #: sets; scoring never consults it).
         self.telemetry = dict(telemetry) if telemetry else {}
-        # Reconstruction memos: (platform, seed, level) -> measurement
-        # sets, and the full scored grid.  Safe because a ResultSet is
-        # immutable once built; they keep multi-profile re-scoring and
-        # repeated exports (comparison + statistics + to_dict all walk
-        # the same cells) from redoing the work.
+        # (platform, seed) -> level key -> measurement sets.
         self._sets = {}
+        layout = spec.set_layout()
+        index = _sample_index(self.values)
+        missing = []
+        for platform in spec.platforms:
+            for seed in spec.seeds:
+                self._sets[(platform, seed)], lacking = _collect_cell(
+                    spec, layout, index, platform, seed
+                )
+                missing.extend(lacking)
+        if missing:
+            raise EvaluationError(
+                "result set is missing %d of the spec's jobs (first: %s) — "
+                "a cancelled or partial run cannot score; re-run the spec "
+                "over the same cache to fill the grid"
+                % (len(missing), MeasurementJob(*missing[0]).label())
+            )
+        # Scoring memos: (platform, seed) -> (level key -> [(set name,
+        # ratio scores)], tool -> level scores); the full scored grid;
+        # confidence -> seed statistics.  comparison, seed_statistics
+        # and to_dict all walk the same cells, for every profile.
+        self._scores = {}
         self._reports = None
+        self._statistics = {}
 
     def __repr__(self) -> str:
         return "<ResultSet %d samples, %d report cells>" % (
@@ -111,19 +150,11 @@ class ResultSet(object):
 
     def tpl_sets(self, platform: str, seed: Optional[int] = None) -> List[MeasurementSet]:
         """The named TPL measurement sets for one (platform, seed)."""
-        seed = self._check_cell(platform, seed)
-        key = (platform, seed, "tpl")
-        if key not in self._sets:
-            self._sets[key] = collect_tpl_sets(self.spec, platform, seed, self.values)
-        return self._sets[key]
+        return self._sets[(platform, self._check_cell(platform, seed))]["tpl"]
 
     def apl_sets(self, platform: str, seed: Optional[int] = None) -> List[MeasurementSet]:
         """The per-application measurement sets for one (platform, seed)."""
-        seed = self._check_cell(platform, seed)
-        key = (platform, seed, "apl")
-        if key not in self._sets:
-            self._sets[key] = collect_apl_sets(self.spec, platform, seed, self.values)
-        return self._sets[key]
+        return self._sets[(platform, self._check_cell(platform, seed))]["apl"]
 
     # ------------------------------------------------------------------
     # Scoring (pure re-weighting; never re-simulates)
@@ -142,6 +173,24 @@ class ResultSet(object):
             % (profile, ", ".join(p.name for p in self.spec.profiles))
         )
 
+    def _cell_scores(self, platform: str, seed: int):
+        """The scores of one (platform, seed) cell that no profile
+        changes, computed on first use."""
+        cell = self._scores.get((platform, seed))
+        if cell is None:
+            sets = self._sets[(platform, seed)]
+            set_scores = {
+                key: [(s.name, s.scores()) for s in sets[key]] for key in _LEVELS
+            }
+            tpl = aggregate_scores([scores for _, scores in set_scores["tpl"]])
+            apl = aggregate_scores([scores for _, scores in set_scores["apl"]])
+            levels = {
+                tool: {TPL: tpl[tool], APL: apl[tool], ADL: adl_score(tool)}
+                for tool in self.spec.tools
+            }
+            cell = self._scores[(platform, seed)] = (set_scores, levels)
+        return cell
+
     def report(
         self,
         platform: Optional[str] = None,
@@ -154,29 +203,23 @@ class ResultSet(object):
         platform = platform if platform is not None else self.spec.platforms[0]
         seed = self._check_cell(platform, seed)
         profile = self._resolve_profile(profile)
-
-        tpl_sets = self.tpl_sets(platform, seed)
-        apl_sets = self.apl_sets(platform, seed)
-        tpl_scores = aggregate_scores([s.scores() for s in tpl_sets])
-        apl_scores = aggregate_scores([s.scores() for s in apl_sets])
-        adl_scores = {tool: adl_score(tool) for tool in self.spec.tools}
+        set_scores, levels = self._cell_scores(platform, seed)
 
         evaluations = []
         for tool in self.spec.tools:
-            level_scores = {
-                TPL: tpl_scores[tool],
-                APL: apl_scores[tool],
-                ADL: adl_scores[tool],
-            }
-            overall = profile.overall(level_scores)
+            level_scores = dict(levels[tool])
             detail = {
-                "tpl": {s.name: s.scores()[tool] for s in tpl_sets},
-                "apl": {s.name: s.scores()[tool] for s in apl_sets},
+                key: {name: scores[tool] for name, scores in set_scores[key]}
+                for key in _LEVELS
             }
-            evaluations.append(ToolEvaluation(tool, level_scores, overall, detail))
+            evaluations.append(ToolEvaluation(
+                tool, level_scores, profile.overall(level_scores), detail
+            ))
 
+        sets = self._sets[(platform, seed)]
         return EvaluationReport(
-            platform, self.spec.processors, profile, evaluations, tpl_sets, apl_sets
+            platform, self.spec.processors, profile, evaluations,
+            sets["tpl"], sets["apl"],
         )
 
     def reports(self) -> Dict[Tuple[str, str, int], EvaluationReport]:
@@ -206,7 +249,11 @@ class ResultSet(object):
         honest view of the grid: mean, sample stddev and a t-based
         confidence interval per cell.  A single-seed spec degenerates
         cleanly (stddev and CI are exactly ``0.0``, never NaN).
+        Computed once per confidence level; each call returns a new
+        dict of the (immutable) stats.
         """
+        if confidence in self._statistics:
+            return dict(self._statistics[confidence])
         reports = self.reports()
         stats = {}
         for platform in self.spec.platforms:
@@ -220,7 +267,8 @@ class ResultSet(object):
                     stats[(platform, profile.name, tool)] = summarize(
                         samples, confidence
                     )
-        return stats
+        self._statistics[confidence] = stats
+        return dict(stats)
 
     # ------------------------------------------------------------------
     # Rendering and export

@@ -16,14 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.jobs import (
-    MeasurementJob,
-    application_job,
-    broadcast_job,
-    global_sum_job,
-    ring_job,
-    sendrecv_job,
-)
+from repro.core.jobs import MeasurementJob
 from repro.core.levels import STANDARD_LEVELS
 from repro.core.weights import BALANCED, PRESET_PROFILES, WeightProfile
 from repro.errors import EvaluationError, validate_noise
@@ -43,6 +36,9 @@ DEFAULT_APP_PARAMS = {
 }
 
 ProfileLike = Union[str, WeightProfile]
+
+#: Names an application job takes from the grid, not from ``app_params``.
+_JOB_ARGUMENTS = frozenset({"app", "tool", "platform", "processors", "seed", "noise"})
 
 
 def _resolve_profile(entry: ProfileLike) -> WeightProfile:
@@ -168,6 +164,13 @@ class EvaluationSpec:
                 "unknown applications: %s; available: %s"
                 % (", ".join(unknown), ", ".join(sorted(known_apps)))
             )
+        for app in self.apps:
+            clash = sorted(set(self.app_params.get(app, ())) & _JOB_ARGUMENTS)
+            if clash:
+                raise EvaluationError(
+                    "app_params[%r] sets %s, which every job sets itself"
+                    % (app, ", ".join(clash))
+                )
 
         if not self.seeds:
             raise EvaluationError("spec needs at least one seed")
@@ -187,40 +190,44 @@ class EvaluationSpec:
     # Job expansion
     # ------------------------------------------------------------------
 
+    def set_layout(self) -> List[Tuple[str, str, str, int, Tuple]]:
+        """The measurement sets of every (platform, seed) cell, in
+        report order: ``(level key, set name, kind, processors,
+        params)``, one job per tool each.  The job expansion and the
+        grouping of samples into sets both read it, so the two cannot
+        disagree."""
+        names = {"sendrecv": "send/receive %dB", "broadcast": "broadcast %dB",
+                 "ring": "ring %dB"}
+        layout = []
+        for nbytes in self.tpl_sizes:
+            for kind in ("sendrecv", "broadcast", "ring"):
+                processors = 2 if kind == "sendrecv" else self.processors
+                layout.append(
+                    ("tpl", names[kind] % nbytes, kind, processors, (("nbytes", nbytes),))
+                )
+        layout.append((
+            "tpl", "global sum %d ints" % self.global_sum_ints, "global_sum",
+            self.processors, (("vector_ints", self.global_sum_ints),),
+        ))
+        for app in self.apps:
+            params = (("app", app),) + tuple(self.app_params.get(app, {}).items())
+            layout.append(("apl", app, "application", self.processors, tuple(sorted(params))))
+        return layout
+
+    def _level_jobs(self, level: str, platform: str, seed: int) -> List[MeasurementJob]:
+        return [
+            MeasurementJob(kind, tool, platform, processors, params, seed, self.noise)
+            for key, _, kind, processors, params in self.set_layout() if key == level
+            for tool in self.tools
+        ]
+
     def tpl_jobs(self, platform: str, seed: int) -> List[MeasurementJob]:
         """TPL jobs for one (platform, seed) cell, in report order."""
-        jobs = []
-        for nbytes in self.tpl_sizes:
-            for tool in self.tools:
-                jobs.append(sendrecv_job(tool, platform, nbytes, seed, self.noise))
-            for tool in self.tools:
-                jobs.append(
-                    broadcast_job(tool, platform, nbytes, self.processors, seed, self.noise)
-                )
-            for tool in self.tools:
-                jobs.append(
-                    ring_job(tool, platform, nbytes, self.processors, seed, self.noise)
-                )
-        for tool in self.tools:
-            jobs.append(
-                global_sum_job(
-                    tool, platform, self.global_sum_ints, self.processors, seed, self.noise
-                )
-            )
-        return jobs
+        return self._level_jobs("tpl", platform, seed)
 
     def apl_jobs(self, platform: str, seed: int) -> List[MeasurementJob]:
         """APL jobs for one (platform, seed) cell, in report order."""
-        jobs = []
-        for app in self.apps:
-            params = self.app_params.get(app, {})
-            for tool in self.tools:
-                jobs.append(
-                    application_job(
-                        app, tool, platform, self.processors, seed, self.noise, **params
-                    )
-                )
-        return jobs
+        return self._level_jobs("apl", platform, seed)
 
     def iter_jobs(self) -> Iterator[MeasurementJob]:
         """Stream the grid's jobs in report order, cell by cell.

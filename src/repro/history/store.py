@@ -212,19 +212,28 @@ def flatten_metrics(node: Any, prefix: Tuple[str, ...] = ()) -> Dict[str, float]
     return out
 
 
-def _sample_row(sample: Dict[str, Any]) -> Tuple:
+def _sample_row(sample: Dict[str, Any], encoded: Dict[str, Tuple]) -> Tuple:
+    """One ``samples`` row.  A grid repeats a handful of distinct params
+    across hundreds of samples, so ``encoded`` keeps each distinct
+    params value's columns.  Params with equal ``repr`` encode to
+    equal JSON, which makes the repr a safe key (``1`` and ``1.0``, or
+    ``0.0`` and ``-0.0``, differ in both)."""
     params = dict(sample.get("params") or {})
-    size = None
-    for name in _SIZE_PARAMS:
-        if name in params:
-            size = int(params[name])
-            break
+    key = repr(params)
+    if key not in encoded:
+        size = None
+        for name in _SIZE_PARAMS:
+            if name in params:
+                size = int(params[name])
+                break
+        encoded[key] = (size, json.dumps(params, sort_keys=True, separators=(",", ":")))
+    size, params_json = encoded[key]
     return (
         sample["platform"],
         sample["tool"],
         sample["kind"],
         size,
-        json.dumps(params, sort_keys=True, separators=(",", ":")),
+        params_json,
         int(sample.get("processors") or 0),
         int(sample.get("seed") or 0),
         sample.get("seconds"),
@@ -263,7 +272,8 @@ def _evaluation_rows(
         "wall_seconds": summary.get("total_wall_seconds"),
         "payload_json": json.dumps(export, sort_keys=True),
     }
-    sample_rows = [_sample_row(sample) for sample in export["samples"]]
+    encoded: Dict[str, Tuple] = {}
+    sample_rows = [_sample_row(sample, encoded) for sample in export["samples"]]
     score_rows = []
     for cell, tools in sorted((export.get("statistics") or {}).items()):
         platform, _, profile = cell.partition("/")

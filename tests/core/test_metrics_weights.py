@@ -33,8 +33,13 @@ class TestRatioScores:
         assert ratio_scores({"a": None, "b": None}) == {"a": 0.0, "b": 0.0}
 
     def test_zero_time_scores_one(self):
+        """A zero best wins; any slower tool scores best/value = 0."""
         scores = ratio_scores({"a": 0.0, "b": 1.0})
         assert scores["a"] == 1.0
+        assert scores["b"] == 0.0
+        assert ratio_scores({"a": 0.0, "b": 0.0, "c": None}) == {
+            "a": 1.0, "b": 1.0, "c": 0.0,
+        }
 
     def test_scores_bounded(self):
         scores = ratio_scores({"a": 1.0, "b": 3.0, "c": 100.0})

@@ -42,6 +42,8 @@ class TestValidation:
             {"noise": -0.1},
             {"noise": float("nan")},
             {"noise": float("inf")},
+            {"apps": ("montecarlo",), "app_params": {"montecarlo": {"app": "jpeg"}}},
+            {"apps": ("fft2d",), "app_params": {"fft2d": {"size": 16, "seed": 3}}},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

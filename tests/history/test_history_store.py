@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import HistoryError
 from repro.history import SCHEMA_VERSION, HistoryStore
-from repro.history.store import flatten_metrics, spec_hash
+from repro.history.store import _evaluation_rows, flatten_metrics, spec_hash
 
 from history_helpers import OLD_SERVICE_SCHEMA, scaled
 
@@ -42,6 +42,29 @@ class TestRecordResult:
         # applications have no size axis
         apps = [row for row in rows if row["kind"] == "application"]
         assert apps and all(row["size"] is None for row in apps)
+
+    def test_params_encoded_once_per_distinct_value(self):
+        """Each row's params column is exactly its own sample's JSON,
+        even where distinct params compare equal (1, 1.0, True;
+        0.0, -0.0) or repeat in another key order."""
+        variants = [
+            {"nbytes": 1}, {"nbytes": 1.0}, {"nbytes": True}, {"nbytes": 1},
+            {"scale": 0.0}, {"scale": -0.0}, {"a": 1, "b": 2}, {"b": 2, "a": 1},
+            {"app": "jpeg", "sizes": [1, 2]}, {"app": "jpeg", "sizes": [1, 2.0]},
+            {}, None,
+        ]
+        samples = [
+            {"platform": "p", "tool": "t", "kind": "k", "params": params,
+             "processors": 4, "seed": index, "seconds": 0.5}
+            for index, params in enumerate(variants)
+        ]
+        _, rows, _ = _evaluation_rows({"spec": {"tools": ["t"]}, "samples": samples})
+        for row, params in zip(rows, variants):
+            params = params or {}
+            assert row[4] == json.dumps(params, sort_keys=True, separators=(",", ":"))
+            size = params.get("nbytes")
+            assert row[3] == (None if size is None else int(size))
+        assert [row[6] for row in rows] == list(range(len(variants)))
 
     def test_cells_group_seeds_together(self, store, export):
         run_id = store.record_result(export)
