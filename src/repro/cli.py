@@ -227,9 +227,10 @@ worker-pull execution:
                              "beacons (default host-pid-nonce)")
     worker.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
                         help="longest sleep between claim attempts when "
-                             "the queue is empty; idle sleeps start at 1 ms "
-                             "after each ticket and double up to this "
-                             "(default 0.1)")
+                             "nothing rings: an idle worker wakes when a "
+                             "coordinator on this host publishes a ticket, "
+                             "else its sleeps start at 1 ms after each "
+                             "ticket and double up to this (default 0.1)")
     worker.add_argument("--lease-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="heartbeat-silence span after which any "

@@ -153,6 +153,10 @@ class RunHandle(object):
         self._spec = spec
         self._on_event = on_event
         self._buffer_events = buffer_events
+        # Whether anyone can observe an event.  A blocking run()/run_jobs
+        # cannot: it builds no events, holds nothing back, and notifies
+        # nobody per job; its counters and values stay exact.
+        self._narrated = buffer_events or on_event is not None
         self._total = total
         self._values: Dict[MeasurementJob, Optional[float]] = {}
         self._events = []
@@ -211,7 +215,8 @@ class RunHandle(object):
         """Under ``self._cond``: give ``job`` its first-occurrence slot
         (in the results and in the event stream)."""
         self._values[job] = None
-        self._unreleased.append(job)
+        if self._narrated:
+            self._unreleased.append(job)
 
     def _file(self, job: MeasurementJob, event: RunEvent, ended: bool) -> List[RunEvent]:
         """Under ``self._cond``: stream one of ``job``'s events, or hold
@@ -260,8 +265,11 @@ class RunHandle(object):
     def _job_started(self, job: MeasurementJob) -> None:
         with self._cond:
             self._meet(job)
-            released = self._file(job, JobStarted(job, self._dispatched), ended=False)
+            index = self._dispatched
             self._dispatched += 1
+            if not self._narrated:
+                return
+            released = self._file(job, JobStarted(job, index), ended=False)
         self._notify(released)
 
     def _reserve(self, job: MeasurementJob) -> None:
@@ -276,6 +284,8 @@ class RunHandle(object):
                 self._meet(job)
             self._cache_hits += 1
             self._values[job] = value
+            if not self._narrated:
+                return
             released = self._file(job, CacheHit(job, value), ended=True)
         self._notify(released)
 
@@ -283,6 +293,8 @@ class RunHandle(object):
         with self._cond:
             self._simulated += 1
             self._values[job] = outcome.value
+            if not self._narrated:
+                return
             released = self._file(
                 job,
                 JobFinished(job, outcome.value, outcome.wall_seconds, outcome.attempts),
@@ -302,13 +314,18 @@ class RunHandle(object):
         with self._cond:
             for job in jobs:
                 self._values.pop(job, None)
-                self._ended.add(job)
+                if self._narrated:
+                    self._ended.add(job)
+            if not self._narrated:
+                return
             released = self._publish(self._drain([]))
         self._notify(released)
 
     def _completed(self) -> None:
         with self._cond:
             self._elapsed = time.perf_counter() - self._started_at
+            if not self._narrated:
+                return
             released = self._flush()
             event = RunCompleted(
                 total=self._simulated + self._cache_hits,

@@ -81,10 +81,14 @@ class RemoteExecutor(ChunkedExecutor):
         The actual fleet may be larger or smaller; this knob only
         shapes pipelining and backpressure.
     poll_interval:
-        The longest sleep between outcome-directory polls: each
-        awaited ticket starts at
+        The longest sleep between outcome-directory polls when nothing
+        rings.  The coordinator sleeps on the queue's ``bell-outcomes``
+        doorbell, which a worker on this host rings as it publishes an
+        outcome; each awaited ticket's sleep timeout starts at
         :data:`~repro.distributed.queue.MIN_POLL_SECONDS` and doubles
-        up to this cap.
+        up to this cap, so an outcome whose ring never arrives (a
+        worker on another host, no FIFO support) is seen as soon as it
+        was before the bells.
     timeout:
         Max seconds to wait for any single ticket's outcome (None =
         forever).
@@ -167,6 +171,12 @@ class RemoteExecutor(ChunkedExecutor):
 
         return self._windowed(jobs, dispatch, collect, withdraw)
 
+    def close(self) -> None:
+        """Close the queue's bell descriptors; a later :meth:`submit`
+        reopens them."""
+        if self.queue is not None:
+            self.queue.close()
+
     def _await_outcome(self, queue: JobQueue, ticket: str) -> dict:
         deadline = (
             time.monotonic() + self.timeout if self.timeout is not None else None
@@ -196,5 +206,5 @@ class RemoteExecutor(ChunkedExecutor):
                 # worker is busy (or gone).
                 queue.reclaim_stale()
                 sweep_at = now + queue.lease_timeout
-            time.sleep(delay)
+            queue.wait_for_outcomes(delay)
             delay = min(2.0 * delay, self.poll_interval)

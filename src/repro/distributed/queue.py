@@ -9,6 +9,8 @@ cluster, a tmp dir in tests)::
       claims/    <ticket>.json   leased work; mtime is the heartbeat
       outcomes/  <ticket>.json   finished work the coordinator takes
       workers/   <id>.json       worker liveness/stats beacons
+      bell-jobs                  FIFO: rung when a ticket is published
+      bell-outcomes              FIFO: rung when an outcome is published
 
 A ticket is a **chunk of jobs**, shipped and claimed as one unit so
 the per-ticket costs (a write, a rename, an outcome file, a poll)
@@ -55,14 +57,34 @@ result lands in the content-addressed cache, via an atomic same-key
 write, as soon as that job finishes — so the re-run simulates only
 the jobs the dead worker had not stored and serves the rest as cache
 hits, which the kill-a-worker tests pin.
+
+The two **doorbells** only shorten sleeps.  ``enqueue`` writes one
+byte to ``bell-jobs`` and ``complete`` one to ``bell-outcomes``,
+without blocking; an idle worker and a waiting coordinator sleep in
+``poll`` on their bell, with their backoff as the timeout, and a wake
+takes one byte, so one ring never swallows a peer's wake.  Whatever
+ended a sleep, the sleeper then looks at the directory as it always
+did: polling is the only path correctness rests on.  A ring can be
+lost at no cost beyond the sleep it did not shorten, and that is all
+a bell does where it cannot work: a FIFO carries bytes only between
+processes of one host, so a worker on another NFS client sleeps out
+its backoff as before, and on a platform or filesystem without
+``mkfifo`` the bells stay silent.  A stale byte (a ring for work
+someone took without sleeping) costs one empty look, never a spin.
+Bells open lazily, on the first ring or wait: constructing a
+:class:`JobQueue` or reading its beacons opens nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import select
+import stat
 import tempfile
+import threading
 import time
+import weakref
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.jobs import MeasurementJob
@@ -74,12 +96,15 @@ _JOBS = "jobs"
 _CLAIMS = "claims"
 _OUTCOMES = "outcomes"
 _WORKERS = "workers"
+_JOBS_BELL = "bell-jobs"
+_OUTCOMES_BELL = "bell-outcomes"
 
 #: First sleep of an idle poll loop on either end of the queue (worker
 #: claims, coordinator outcome pickup).  Sleeps double from here up to
 #: the caller's ``poll_interval`` and restart here after activity, so
-#: work that lands a few milliseconds after a look is seen a few
-#: milliseconds later instead of a whole poll interval later.
+#: work whose ring is lost, or that lands on another host, is seen a
+#: few milliseconds after a look instead of a whole poll interval
+#: later.
 MIN_POLL_SECONDS = 0.001
 
 
@@ -88,7 +113,8 @@ def _write_json_atomic(path: str, payload: dict) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            # dumps, not dump: only the one-shot encoder runs in C.
+            handle.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -105,6 +131,86 @@ def _read_json(path: str) -> Optional[dict]:
     except (OSError, ValueError):
         return None
     return data if isinstance(data, dict) else None
+
+
+class _Descriptor(object):
+    """An open bell, closed once nothing holds it: a wait in flight
+    keeps its descriptor number valid through a concurrent close."""
+
+    __slots__ = ("fd", "__weakref__")
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        weakref.finalize(self, os.close, fd)
+
+
+def _open_fifo(path: str) -> Optional[_Descriptor]:
+    """The FIFO at ``path``, made if missing and opened for reading and
+    writing without blocking, or None where that cannot be done."""
+    if not hasattr(os, "mkfifo"):
+        return None
+    try:
+        os.mkfifo(path)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None  # the filesystem holds no FIFOs
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_NONBLOCK | os.O_CLOEXEC)
+    except OSError:
+        return None
+    if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+        os.close(fd)  # a foreign file at the bell's path: stay silent
+        return None
+    return _Descriptor(fd)
+
+
+class _Bell(object):
+    """One doorbell: a FIFO a process rings after publishing something
+    another process sleeps waiting for (see the module docstring)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._lock = threading.Lock()
+        self._descriptor: Optional[_Descriptor] = None  # guarded-by: _lock
+
+    def _open(self) -> Optional[_Descriptor]:
+        with self._lock:
+            if self._descriptor is None:
+                self._descriptor = _open_fifo(self.path)
+            return self._descriptor
+
+    def ring(self) -> None:
+        descriptor = self._open()
+        if descriptor is not None:
+            try:
+                os.write(descriptor.fd, b"\0")
+            except BlockingIOError:
+                pass  # the FIFO is full: plenty of rings are pending
+
+    def wait(self, timeout: float, wake_fd: Optional[int] = None) -> None:
+        """Sleep until a ring, ``wake_fd`` turning readable, or
+        ``timeout`` seconds; a ring is taken, one byte of it."""
+        descriptor = self._open()
+        # poll, not select: descriptor numbers may exceed FD_SETSIZE in
+        # a long-lived process.  A poll object per wait, since waits on
+        # one bell may run in several threads.
+        poller = select.poll()
+        if descriptor is not None:
+            poller.register(descriptor.fd, select.POLLIN)
+        if wake_fd is not None:
+            poller.register(wake_fd, select.POLLIN)
+        for fd, _ in poller.poll(timeout * 1000.0):
+            if descriptor is not None and fd == descriptor.fd:
+                try:
+                    os.read(fd, 1)
+                except BlockingIOError:
+                    pass  # a peer's wait took this ring
+
+    def close(self) -> None:
+        """Let go of the descriptor; the next ring or wait reopens it."""
+        with self._lock:
+            self._descriptor = None
 
 
 class Claim(NamedTuple):
@@ -137,6 +243,8 @@ class JobQueue(object):
         self.lease_timeout = lease_timeout
         for name in (_JOBS, _CLAIMS, _OUTCOMES, _WORKERS):
             os.makedirs(os.path.join(self.root, name), exist_ok=True)
+        self._jobs_bell = _Bell(os.path.join(self.root, _JOBS_BELL))
+        self._outcomes_bell = _Bell(os.path.join(self.root, _OUTCOMES_BELL))
 
     def _path(self, kind: str, name: str) -> str:
         return os.path.join(self.root, kind, name + ".json")
@@ -162,6 +270,7 @@ class JobQueue(object):
             "retries": retries,
         }
         _write_json_atomic(self._path(_JOBS, ticket), payload)
+        self._jobs_bell.ring()
 
     def revoke(self, ticket: str) -> bool:
         """Withdraw an *unclaimed* ticket (lease revocation: the
@@ -190,6 +299,11 @@ class JobQueue(object):
         except OSError:
             pass
         return outcome
+
+    def wait_for_outcomes(self, timeout: float) -> None:
+        """Sleep until an outcome is published (a ring on
+        ``bell-outcomes``) or ``timeout`` seconds pass."""
+        self._outcomes_bell.wait(timeout)
 
     def discard_outcome(self, ticket: str) -> None:
         try:
@@ -248,6 +362,11 @@ class JobQueue(object):
             return Claim(ticket=ticket, jobs=jobs, retries=retries, path=claim_path)
         return None
 
+    def wait_for_jobs(self, timeout: float, wake_fd: Optional[int] = None) -> None:
+        """Sleep until a ticket is published (a ring on ``bell-jobs``),
+        ``wake_fd`` turns readable, or ``timeout`` seconds pass."""
+        self._jobs_bell.wait(timeout, wake_fd)
+
     def heartbeat(self, claim: Claim) -> None:
         """Refresh the lease (claim-file mtime) so reclaimers know the
         worker holding it is still alive."""
@@ -261,6 +380,7 @@ class JobQueue(object):
         a worker killed between the two steps leaves a stale claim
         that reclaims into a (cache-hit) re-run, never a lost result."""
         _write_json_atomic(self._path(_OUTCOMES, claim.ticket), outcome)
+        self._outcomes_bell.ring()
         try:
             os.unlink(claim.path)
         except OSError:
@@ -311,6 +431,13 @@ class JobQueue(object):
             except OSError:
                 pass
         return swept
+
+    def close(self) -> None:
+        """Close this queue's bell descriptors (idempotent).  The queue
+        stays usable: the next ring or wait reopens them, and a wait
+        in flight on another thread keeps its own until it returns."""
+        self._jobs_bell.close()
+        self._outcomes_bell.close()
 
     # -- introspection -------------------------------------------------
 

@@ -50,11 +50,14 @@ class Worker(object):
     worker_id:
         Stable identity for leases/beacons; default is host+pid+nonce.
     poll_interval:
-        The longest sleep between claim attempts when the queue is
-        empty.  Idle sleeps start at
-        :data:`~repro.distributed.queue.MIN_POLL_SECONDS` after
-        every processed ticket and double up to this cap, so a settled
-        idle worker polls at this rate and a busy one barely waits.
+        The longest sleep between claim attempts when nothing rings.
+        An idle worker sleeps on the queue's ``bell-jobs`` doorbell,
+        which a coordinator on this host rings as it publishes a
+        ticket; the sleep's timeout starts at
+        :data:`~repro.distributed.queue.MIN_POLL_SECONDS` after every
+        processed ticket and doubles up to this cap, so a ticket whose
+        ring never arrives (a coordinator on another host, no FIFO
+        support) is seen as soon as it was before the bells.
     heartbeat_interval:
         Lease-refresh period; defaults to a quarter of the queue's
         lease timeout so a healthy worker can miss several beats
@@ -110,6 +113,11 @@ class Worker(object):
         self.cache_hits = 0
         self.failed = 0
         self._stop = threading.Event()
+        # The write end of the self-pipe that ends an idle wait on
+        # stop(), open while run() is.  Reentrant: stop() may run in a
+        # signal handler on the thread that holds the lock.
+        self._wake_lock = threading.RLock()
+        self._wake_w: Optional[int] = None  # guarded-by: _wake_lock
         self._current_claim: Optional[Claim] = None  # guarded-by: _claim_lock
         self._claim_lock = threading.Lock()
 
@@ -202,6 +210,23 @@ class Worker(object):
 
     def run(self) -> dict:
         """The worker main loop; returns :meth:`stats` on exit."""
+        # A self-pipe, not the event, ends an idle wait: after a signal
+        # handler returns, PEP 475 restarts the interrupted poll, which
+        # a stop() from the handler therefore has to make readable.
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_w, False)
+        with self._wake_lock:
+            self._wake_w = wake_w
+        try:
+            return self._serve(wake_r)
+        finally:
+            with self._wake_lock:
+                self._wake_w = None
+                os.close(wake_w)
+            os.close(wake_r)
+            self.queue.close()
+
+    def _serve(self, wake_r: int) -> dict:
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
             name="repro-worker-heartbeat-%s" % self.worker_id,
@@ -220,8 +245,9 @@ class Worker(object):
                     wait = shortest
                     continue
                 # Empty queue: give dead peers' leases back to the
-                # pool, tidy abandoned outcomes, then idle — briefly
-                # at first, backing off toward poll_interval.
+                # pool, tidy abandoned outcomes, then idle until a
+                # ring, with a timeout short at first and backing off
+                # toward poll_interval.
                 self.queue.reclaim_stale()
                 self.queue.sweep_outcomes()
                 now = time.monotonic()
@@ -232,7 +258,7 @@ class Worker(object):
                     and now - idle_since >= self.idle_seconds
                 ):
                     break
-                self._stop.wait(wait)
+                self.queue.wait_for_jobs(wait, wake_r)
                 wait = min(2.0 * wait, self.poll_interval)
         finally:
             self._stop.set()
@@ -241,8 +267,15 @@ class Worker(object):
         return self.stats()
 
     def stop(self) -> None:
-        """Ask the loop to exit after the ticket in flight (if any)."""
+        """Ask the loop to exit after the ticket in flight (if any); an
+        idle wait ends at once.  Safe to call from a signal handler."""
         self._stop.set()
+        with self._wake_lock:
+            if self._wake_w is not None:
+                try:
+                    os.write(self._wake_w, b"\0")
+                except BlockingIOError:
+                    pass  # the pipe is full: the loop is woken already
 
     def stats(self) -> dict:
         return {

@@ -188,6 +188,39 @@ class TestEventStream:
         assert handle.progress().simulated == spec.job_count()
         assert result.values
 
+    def test_unobserved_runs_build_no_events(self, monkeypatch):
+        """A run nobody observes (no replay buffer, no ``on_event``:
+        blocking run()/run_jobs) builds no event objects and notifies
+        no waiter per job, cold or warm; its counters and its
+        first-occurrence order are those of a narrated run."""
+        import repro.core.scheduler as scheduler_module
+
+        def no_event(*args, **kwargs):
+            raise AssertionError("an unobserved run built an event")
+
+        for name in ("JobStarted", "JobFinished", "CacheHit", "RunCompleted"):
+            monkeypatch.setattr(scheduler_module, name, no_event)
+        notified = []
+
+        class CountingCondition(threading.Condition):
+            def notify_all(self):
+                notified.append(self)
+                super().notify_all()
+
+        monkeypatch.setattr(scheduler_module.threading, "Condition", CountingCondition)
+        spec = tiny_spec(tools=("p4", "express"))
+        scheduler = Scheduler()
+        for simulated, hits in ((spec.job_count(), 0), (0, spec.job_count())):
+            handle = scheduler.start(spec, buffer_events=False)
+            result = handle.result()
+            progress = handle.progress()
+            assert (progress.simulated, progress.cache_hits) == (simulated, hits)
+            assert progress.dispatched == simulated
+            assert list(handle.values()) == spec.jobs()
+            assert result.values == handle.values()
+            assert sum(cond is handle._cond for cond in notified) <= 2
+            assert not (handle._unreleased or handle._held or handle._ended)
+
     def test_on_event_callback_fires_for_every_event(self):
         spec = tiny_spec(tools=("p4",))
         seen = []

@@ -1,8 +1,10 @@
 """JobQueue unit tests: atomic claims, leases, reclaim, hygiene."""
 
+import io
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -214,3 +216,110 @@ class TestHygiene:
         alive = queue.live_workers()
         assert [beacon["worker"] for beacon in alive] == ["w1"]
         assert alive[0]["processed"] == 3
+
+    def test_queue_files_are_the_sorted_json_dump(self, tmp_path):
+        """Ticket and outcome files hold exactly what ``json.dump(...,
+        sort_keys=True)`` writes, whichever encoder produced them."""
+        queue = make_queue(tmp_path)
+        queue.enqueue("t-000", [JOB, OTHER], retries=2)
+        ticket = {"ticket": "t-000", "jobs": [JOB.to_dict(), OTHER.to_dict()],
+                  "retries": 2}
+        outcome = {"ticket": "t-000", "worker": "w1", "wall_seconds": 0.25,
+                   "outcomes": [{"value": 1.5, "error": None}], "error": None}
+        with open(os.path.join(queue.root, "jobs", "t-000.json")) as handle:
+            ticket_text = handle.read()
+        queue.complete(queue.claim("w1"), outcome)
+        with open(os.path.join(queue.root, "outcomes", "t-000.json")) as handle:
+            outcome_text = handle.read()
+        for payload, text in ((ticket, ticket_text), (outcome, outcome_text)):
+            expected = io.StringIO()
+            json.dump(payload, expected, sort_keys=True)
+            assert text == expected.getvalue()
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestBells:
+    def test_each_wait_takes_one_ring(self, tmp_path):
+        """Two rings end two waits at once, not one: a wake never
+        swallows a peer's.  The third wait sleeps out its timeout."""
+        queue = make_queue(tmp_path)
+        queue.enqueue("t-000", [JOB])
+        queue.enqueue("t-001", [JOB])
+        start = time.monotonic()
+        queue.wait_for_jobs(10.0)
+        queue.wait_for_jobs(10.0)
+        assert time.monotonic() - start < 5.0
+        start = time.monotonic()
+        queue.wait_for_jobs(0.05)
+        assert time.monotonic() - start >= 0.04
+
+    def test_a_completion_rings_the_outcome_bell(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.enqueue("t-000", [JOB])
+        queue.complete(queue.claim("w1"), {"value": 1.0})
+        start = time.monotonic()
+        queue.wait_for_outcomes(10.0)
+        assert time.monotonic() - start < 5.0
+
+    def test_a_wait_takes_descriptors_above_fd_setsize(self, tmp_path):
+        """A long-lived ``repro serve`` may hold more than 1024
+        descriptors, which ``select()`` cannot watch."""
+        import resource
+
+        high = 1100
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high:
+            pytest.skip("descriptor limit too low")
+        queue = make_queue(tmp_path)
+        read_end, write_end = os.pipe()
+        try:
+            os.dup2(read_end, high)
+            os.write(write_end, b"x")
+            start = time.monotonic()
+            queue.wait_for_jobs(10.0, high)
+            assert time.monotonic() - start < 5.0
+        finally:
+            for fd in (read_end, write_end, high):
+                os.close(fd)
+            queue.close()
+
+    def test_a_foreign_file_at_a_bell_path_only_silences_it(self, tmp_path):
+        queue = make_queue(tmp_path)
+        path = os.path.join(queue.root, "bell-jobs")
+        with open(path, "w") as handle:
+            handle.write("mine")
+        queue.enqueue("t-000", [JOB])
+        with open(path) as handle:
+            assert handle.read() == "mine"
+        assert queue.claim("w1").ticket == "t-000"
+        start = time.monotonic()
+        queue.wait_for_jobs(0.05)  # no ring can arrive: the timeout ends it
+        assert time.monotonic() - start >= 0.04
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="Linux only")
+    def test_building_a_queue_and_reading_beacons_opens_nothing(self, tmp_path):
+        root = str(tmp_path / "queue")
+        JobQueue(root).heartbeat_worker("w1", {"processed": 0})
+        before = open_descriptors()
+        for _ in range(100):
+            assert len(JobQueue(root).live_workers()) == 1
+        assert open_descriptors() == before
+        assert not os.path.exists(os.path.join(root, "bell-jobs"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="Linux only")
+    def test_close_releases_the_bells_and_the_queue_reopens_them(self, tmp_path):
+        queue = make_queue(tmp_path)
+        before = open_descriptors()
+        queue.enqueue("t-000", [JOB])
+        queue.complete(queue.claim("w1"), {"value": 1.0})
+        assert open_descriptors() == before + 2
+        queue.close()
+        assert open_descriptors() == before
+        queue.enqueue("t-001", [JOB])  # reopened lazily
+        start = time.monotonic()
+        queue.wait_for_jobs(10.0)
+        assert time.monotonic() - start < 5.0
+        queue.close()
+        assert open_descriptors() == before

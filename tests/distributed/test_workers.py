@@ -350,8 +350,9 @@ BACKOFF = [0.001, 0.002, 0.004, 0.008, 0.01, 0.01]
 
 class TestPollBackoff:
     """Idle sleeps on both ends of the queue start at 1 ms after
-    activity and double up to ``poll_interval``.  Every wait is
-    recorded rather than slept, so these tests never sleep."""
+    activity and double up to ``poll_interval``: they are the timeouts
+    of the doorbell waits.  Every wait is recorded rather than slept,
+    so these tests never sleep."""
 
     def test_worker_backs_off_and_resets_after_each_ticket(self, tmp_path):
         queue = JobQueue(str(tmp_path / "queue"))
@@ -360,28 +361,21 @@ class TestPollBackoff:
         cache.store(job, 1.5)  # served as a cache hit: nothing simulates
         worker = Worker(queue, cache, poll_interval=0.01,
                         heartbeat_interval=3600.0)
-        loop = threading.current_thread()
         waits = []
 
-        class RecordingStop(threading.Event):
-            def wait(self, timeout=None):
-                if threading.current_thread() is not loop:
-                    return super().wait(timeout)  # the heartbeat thread
-                waits.append(timeout)
-                if len(waits) == len(BACKOFF):
-                    queue.enqueue("t-000000", [job])
-                elif len(waits) >= len(BACKOFF) + 3:
-                    self.set()
-                return self.is_set()
+        def record(timeout, wake_fd=None):
+            waits.append(timeout)
+            if len(waits) == len(BACKOFF):
+                queue.enqueue("t-000000", [job])
+            elif len(waits) >= len(BACKOFF) + 3:
+                worker.stop()
 
-        worker._stop = RecordingStop()
+        queue.wait_for_jobs = record
         stats = worker.run()
         assert stats["processed"] == 1 and stats["cache_hits"] == 1
         assert waits == pytest.approx(BACKOFF + BACKOFF[:3])
 
     def test_coordinator_backs_off_and_resets_per_ticket(self, tmp_path, monkeypatch):
-        import repro.distributed.executor as executor_module
-
         queue = JobQueue(str(tmp_path / "queue"))
         executor = RemoteExecutor(queue_dir=queue.root, max_workers=1,
                                   poll_interval=0.01)
@@ -393,13 +387,194 @@ class TestPollBackoff:
                 serve_by_hand(queue)
             assert len(sleeps) < 50, "the coordinator never saw an outcome"
 
-        monkeypatch.setattr(executor_module.time, "sleep", record)
+        monkeypatch.setattr(executor.queue, "wait_for_outcomes", record)
         # One full chunk and a one-job chunk: two tickets.
         jobs = tiny_spec(tools=("p4",)).jobs()[: executor.chunk_jobs + 1]
         outcomes = list(executor.submit(jobs))
         assert [outcome.value for outcome in outcomes] == [1.25] * len(jobs)
         # Ticket 0 waited out the whole ramp; ticket 1 started over.
         assert sleeps == pytest.approx(BACKOFF + BACKOFF[:3])
+
+
+def idle_gate(queue, method="claim"):
+    """Wrap ``queue.<method>`` (``claim`` or ``take_outcome``) to set
+    the returned event once a look finds nothing: the looker is then
+    idle, in or on its way into its wait."""
+    gate = threading.Event()
+    look = getattr(queue, method)
+
+    def look_then_open(*args):
+        found = look(*args)
+        if found is None:
+            gate.set()
+        return found
+
+    setattr(queue, method, look_then_open)
+    return gate
+
+
+@pytest.fixture
+def hour_long_waits(monkeypatch):
+    """Every idle wait on both ends of the queue lasts its whole
+    ``poll_interval`` from the first: with a 3600 s cap, only a ring
+    (or a stop) can end one within a test."""
+    import repro.distributed.executor as executor_module
+    import repro.distributed.worker as worker_module
+
+    monkeypatch.setattr(worker_module, "MIN_POLL_SECONDS", 3600.0)
+    monkeypatch.setattr(executor_module, "MIN_POLL_SECONDS", 3600.0)
+
+
+def start_thread(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.mark.usefixtures("hour_long_waits")
+class TestDoorbell:
+    """Rings end idle waits.  Each case gates on the sleeper's first
+    empty look, then publishes: without a bell the sleeper would wait
+    out its 3600 s, so these fail by timing out rather than hang."""
+
+    def test_an_idle_worker_claims_a_ticket_enqueued_while_it_idles(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "queue"))
+        cache = ResultCache()
+        job = tiny_spec(tools=("p4",)).jobs()[0]
+        cache.store(job, 1.5)
+        worker = Worker(queue, cache, poll_interval=3600.0)
+        gate = idle_gate(queue)
+        thread = start_thread(worker.run)
+        try:
+            assert gate.wait(30.0)
+            queue.enqueue("t-000000", [job])
+            assert wait_until(lambda: worker.processed == 1, timeout=10.0)
+        finally:
+            worker.stop()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+    def test_a_waiting_coordinator_collects_an_outcome(self, tmp_path):
+        queue_dir = str(tmp_path / "queue")
+        executor = RemoteExecutor(queue_dir=queue_dir, max_workers=1,
+                                  poll_interval=3600.0)
+        gate = idle_gate(executor.queue, "take_outcome")
+        got = []
+        job = tiny_spec(tools=("p4",)).jobs()[0]
+        thread = start_thread(lambda: got.extend(executor.submit([job])))
+        assert gate.wait(30.0)
+        serve_by_hand(JobQueue(queue_dir))
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "the coordinator slept through the ring"
+        assert [outcome.value for outcome in got] == [1.25]
+        executor.close()
+
+    def test_a_ring_from_a_forked_child_wakes_the_parent(self, tmp_path):
+        """The fleet's case: the ring crosses processes.  The child is
+        forked before any thread starts and serves the ticket by hand
+        once the parent's coordinator sleeps."""
+        queue_dir = str(tmp_path / "queue")
+        go_r, go_w = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                os.close(go_w)
+                if os.read(go_r, 1):
+                    serve_by_hand(JobQueue(queue_dir))
+                    code = 0
+            finally:
+                os._exit(code)
+        os.close(go_r)
+        try:
+            executor = RemoteExecutor(queue_dir=queue_dir, max_workers=1,
+                                      poll_interval=3600.0)
+            gate = idle_gate(executor.queue, "take_outcome")
+            got = []
+            job = tiny_spec(tools=("p4",)).jobs()[0]
+            thread = start_thread(lambda: got.extend(executor.submit([job])))
+            assert gate.wait(30.0)
+            os.write(go_w, b"g")
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "the coordinator slept through the ring"
+            assert [outcome.value for outcome in got] == [1.25]
+            executor.close()
+        finally:
+            os.close(go_w)
+            _, status = os.waitpid(child, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_stop_ends_an_idle_wait_at_once(self, tmp_path):
+        worker = Worker(JobQueue(str(tmp_path / "queue")), ResultCache(),
+                        poll_interval=3600.0)
+        gate = idle_gate(worker.queue)
+        thread = start_thread(worker.run)
+        assert gate.wait(30.0)
+        worker.stop()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_stop_from_a_signal_handler_ends_an_idle_wait(self, tmp_path):
+        """``repro worker`` stops from its SIGTERM handler, which runs
+        on the thread sleeping in poll: the interrupted poll restarts
+        (PEP 475) unless the handler leaves something to read."""
+        import signal
+
+        queue = JobQueue(str(tmp_path / "queue"))
+        worker = Worker(queue, ResultCache(), poll_interval=3600.0)
+        gate = idle_gate(queue)
+        finished = threading.Event()
+
+        def signal_then_watch():
+            assert gate.wait(30.0)
+            os.kill(os.getpid(), signal.SIGUSR1)
+            if not finished.wait(10.0):
+                # Fail rather than hang: a ring ends the wait too.
+                queue.enqueue("t-000000", tiny_spec(tools=("p4",)).jobs()[:1])
+
+        previous = signal.signal(signal.SIGUSR1, lambda *_: worker.stop())
+        try:
+            helper = start_thread(signal_then_watch)
+            start = time.monotonic()
+            worker.run()  # on the main thread, where handlers run
+            elapsed = time.monotonic() - start
+        finally:
+            finished.set()
+            signal.signal(signal.SIGUSR1, previous)
+        helper.join(timeout=30.0)
+        assert elapsed < 5.0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="Linux only")
+def test_remote_passes_leave_no_descriptor_open(tmp_path):
+    """Fifty coordinator passes over a live in-process fleet, each with
+    its own executor closed by its scheduler: the descriptor count is
+    back to its start after the passes, and to its count before the
+    fleet once the fleet stops."""
+    queue_dir = str(tmp_path / "queue")
+    queue = JobQueue(queue_dir)
+    cache = ResultCache()
+    jobs = tiny_spec(tools=("p4",)).jobs()[:5]  # two tickets a pass
+    for job in jobs:
+        cache.store(job, 1.0)  # the fleet serves hits: nothing simulates
+
+    def one_pass():
+        executor = RemoteExecutor(queue_dir=queue_dir, max_workers=2,
+                                  poll_interval=0.005, timeout=60.0)
+        with Scheduler(executor=executor) as scheduler:
+            assert scheduler.run_jobs(jobs) == dict.fromkeys(jobs, 1.0)
+
+    def descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before_fleet = descriptors()
+    with WorkerPool(queue, cache, workers=2, poll_interval=0.005):
+        one_pass()  # the fleet's own bells are open from here on
+        start = descriptors()
+        for _ in range(50):
+            one_pass()
+        assert descriptors() == start
+    assert descriptors() == before_fleet
 
 
 class TestWorkerKnobs:
