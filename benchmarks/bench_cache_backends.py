@@ -1,18 +1,18 @@
-"""Bench cache backends: what persistence and sharding cost.
+"""Bench cache stores: what persistence and sharding cost.
 
 The disk cache exists so sweeps survive processes; the question is
 what that durability costs on the warm path.  One tiny spec runs cold
-into a DiskBackend, then re-runs warm three ways — in-memory, disk
-(fresh process simulated by a fresh Scheduler + backend over the same
-directory, so every hit really parses its line of the segment) and a 4-way
-sharded disk cache.  All warm paths must stay far cheaper than
-re-simulating; disk may cost more than memory, but the point is that
-it replaces *simulation*, not a dict lookup.
+into a disk cache, then re-runs warm three ways — ``ResultCache()``,
+``ResultCache.on_disk(root)`` (a fresh Scheduler + cache over the same
+directory, the resume path) and ``ResultCache.on_disk(root, shards=4)``.
+All warm paths must stay far cheaper than re-simulating; disk may cost
+more than memory, but the point is that it replaces *simulation*, not
+a dict lookup.
 """
 
 import time
 
-from repro.core.cache import DiskBackend, ResultCache, ShardedBackend
+from repro.core.cache import ResultCache
 from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 
@@ -44,16 +44,15 @@ def test_backend_warm_paths(benchmark, tmp_path):
     memory.run(spec)
     _, memory_s = _timed(lambda: memory.run(spec))
 
-    # Fresh Scheduler + backend over the same directory: the resume
-    # path, where every sample is re-read from its segment line.
-    disk = Scheduler(cache=ResultCache(DiskBackend(root)))
+    # Fresh Scheduler + cache over the same directory: the resume path.
+    disk = Scheduler(cache=ResultCache.on_disk(root))
     warm = run_once(benchmark, lambda: _timed(lambda: disk.run(spec)))
     disk_s = warm[1]
     assert disk.simulations_run == 0
 
     sharded_root = str(tmp_path / "sharded")
     Scheduler(cache_dir=sharded_root, shards=4).run(spec)
-    sharded = Scheduler(cache=ResultCache(ShardedBackend.on_disk(sharded_root, 4)))
+    sharded = Scheduler(cache=ResultCache.on_disk(sharded_root, shards=4))
     _, sharded_s = _timed(lambda: sharded.run(spec))
     assert sharded.simulations_run == 0
 

@@ -1,7 +1,7 @@
 """Lock-discipline rules: guarded fields are touched under their lock.
 
 PRs 6 and 7 each shipped a race fix found by hand (unlocked
-``MemoryBackend`` dict mutations, ``DiskBackend`` memo races); this
+in-memory cache dict mutations, ``DiskBackend`` memo races); this
 pack makes the discipline mechanical.  A class declares which lock
 guards a field with a trailing annotation comment on the line that
 initializes it::
@@ -10,7 +10,7 @@ initializes it::
         def __init__(self):
             self._lock = threading.RLock()
             self.hits = 0        # guarded-by: _lock
-            self._keys = {}      # guarded-by: _lock
+            self.misses = 0      # guarded-by: _lock
 
 :class:`GuardedFieldRule` then reports every read or write of an
 annotated field outside a ``with self._lock:`` block, in any method

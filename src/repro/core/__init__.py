@@ -12,9 +12,7 @@ from repro._lazy import lazy_exports
 #: Public name -> the module defining it.
 _EXPORTS = {
     "CACHE_SCHEMA_VERSION": "repro.core.cache",
-    "CacheBackend": "repro.core.cache",
     "DiskBackend": "repro.core.cache",
-    "MemoryBackend": "repro.core.cache",
     "ResultCache": "repro.core.cache",
     "ShardedBackend": "repro.core.cache",
     "job_key": "repro.core.cache",

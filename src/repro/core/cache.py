@@ -1,37 +1,33 @@
-"""Pluggable, persistent result caching: backends behind ResultCache.
+"""Persistent result caching: one store under ResultCache.
 
-The scheduler's memo of completed measurements used to be a plain
-in-process dict; this module generalizes it into a small storage
-stack so evaluation knowledge survives processes and can fan out
-across hosts:
+The scheduler's memo of completed measurements is a dict of samples by
+content key.  :class:`ResultCache` counts the probes; what holds the
+samples is one of three stores, each answering only ``get_many``,
+``put``, ``__len__`` and ``clear``:
 
-* :class:`CacheBackend` — the protocol every store implements:
-  string keys, ``get``/``put``/``__contains__``/``__len__``/``clear``.
-* :class:`MemoryBackend` — the original behavior, a dict.
-* :class:`DiskBackend` — an append-only log under a cache directory:
-  each writer appends one JSON line per entry to a segment file it
-  owns, and a line a killed sweep left torn reads as a miss.  Entries
-  are self-describing (they embed the key, the job and a schema
-  version); entries written by an older schema read as misses, so
-  stale formats invalidate themselves instead of corrupting runs.
-  What a process has read of a directory (the memo of its entries and
-  how far each segment was read) is one index per directory, shared
-  by every backend the process opens over it: reopening a cache tails
-  only the lines appended since.  A backend opened over an index
-  whose read bytes are no longer on disk unchanged starts a new one.
-* :class:`ShardedBackend` — routes each key deterministically to one
-  of N child backends, the layout for multi-host fan-out (give every
-  host the shard roster and they agree on placement with no
-  coordination).
+* an in-memory memo (``ResultCache()``): a dict under a lock that dies
+  with the process.
+* :class:`DiskBackend` (``ResultCache.on_disk(dir)``): an append-only
+  log under a cache directory.  Each writer appends one JSON line per
+  entry to a segment file it owns, and a line a killed sweep left torn
+  reads as a miss.  Entries are self-describing (they embed the key,
+  the job and a schema version); entries written by an older schema
+  read as misses, so stale formats invalidate themselves instead of
+  corrupting runs.  What a process has read of a directory is one
+  index per directory, shared by every backend the process opens over
+  it: the same memo as an in-memory cache, plus how far each segment
+  was read, so reopening a cache tails only the lines appended since.
+  A backend opened over an index whose read bytes are no longer on
+  disk unchanged starts a new one.
+* :class:`ShardedBackend` (``ResultCache.on_disk(dir, shards=N)``):
+  routes each key deterministically to one of N disk backends under
+  ``dir/shard-NN`` (give every host the shard roster and they agree
+  on placement with no coordination).
 
 Keys come from :func:`job_key`: the SHA-256 of the job's canonical
 JSON plus :data:`CACHE_SCHEMA_VERSION`, so a job *is* its address —
 two sweeps that share a configuration share the entry, and bumping
 the schema version retires every old entry at once.
-
-:class:`ResultCache` keeps its PR-1 interface (``lookup``/``store``/
-``peek`` on jobs, hit/miss counters) but now delegates storage to any
-backend; ``ResultCache()`` is still purely in-memory.
 """
 
 from __future__ import annotations
@@ -55,8 +51,6 @@ __all__ = [
     "job_key",
     "read_cache_manifest",
     "resolve_cache_layout",
-    "CacheBackend",
-    "MemoryBackend",
     "DiskBackend",
     "ShardedBackend",
     "ResultCache",
@@ -307,37 +301,26 @@ class _Consumed(object):
         return digest.digest() == self.digest.digest()
 
 
-class _DirectoryIndex(object):
-    """What this process has read of one cache directory: the memo of
-    its entries and, per segment, how far it was read.
+class _Memo(object):
+    """Samples by key under one lock: the whole store of an in-memory
+    cache, and the part of a :class:`_DirectoryIndex` a probe reads.
 
-    The memo holds exactly the entries on the consumed bytes, and each
-    consumed prefix carries a digest: while every prefix is still on
-    disk unchanged, the memo is what a fresh read of them would give.
-
-    ``_tail_lock`` serializes whatever moves a consumed offset (a read
-    of a segment's tail, an append and its accounting); ``_lock``
-    guards the memo alone, so a probe never waits for file I/O.
+    Thread-safe: the evaluation service runs several concurrent
+    scheduler runs against one shared cache, so every dict operation
+    takes the lock rather than leaning on accidental GIL atomicity.
     """
 
-    def __init__(self, root: str) -> None:
-        self.root = root
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tail_lock = threading.Lock()
         self._memo: Dict[str, Optional[float]] = {}  # guarded-by: _lock
-        # Keys whose memoized entry carries no job (entries() skips
-        # those, so storing the job again is a real write).
+        # Keys whose entry was stored without its job (a directory's
+        # entries() skips those, so storing the job again is a real
+        # write).
         self._jobless: Set[str] = set()  # guarded-by: _lock
-        self._consumed: Dict[str, _Consumed] = {}  # guarded-by: _tail_lock
-        # Set once a segment was seen to shrink: the memo may hold lines
-        # that are gone, so no later backend adopts this index.
-        self._stale = False  # guarded-by: _tail_lock
-
-    def get(self, key: str):
-        with self._lock:
-            return self._memo.get(key, MISSING)
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
+        """The held samples for ``keys`` (absent keys are simply
+        missing from the result, a ``None`` sample is kept)."""
         with self._lock:
             memo = self._memo
             return {key: memo[key] for key in keys if key in memo}
@@ -352,14 +335,17 @@ class _DirectoryIndex(object):
                 and (job is None or key not in self._jobless)
             )
 
-    def intact(self) -> bool:
-        """Whether every byte this index read is still on disk,
-        unchanged (a segment gone, shrunk or rewritten fails)."""
-        with self._tail_lock:
-            return not self._stale and all(
-                consumed.intact(os.path.join(self.root, name))
-                for name, consumed in self._consumed.items()
-            )
+    def put(self, key: str, value: Optional[float], job: Optional[MeasurementJob] = None) -> None:
+        self._remember({key: (value, job is None)})
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._memo)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._memo.clear()
+            self._jobless.clear()
 
     def _remember(self, found: Dict[str, Tuple[Optional[float], bool]]) -> None:
         with self._lock:
@@ -369,6 +355,38 @@ class _DirectoryIndex(object):
                     self._jobless.add(key)
                 else:
                     self._jobless.discard(key)
+
+
+class _DirectoryIndex(_Memo):
+    """What this process has read of one cache directory: the memo of
+    its entries and, per segment, how far it was read.
+
+    The memo holds exactly the entries on the consumed bytes, and each
+    consumed prefix carries a digest: while every prefix is still on
+    disk unchanged, the memo is what a fresh read of them would give.
+
+    ``_tail_lock`` serializes whatever moves a consumed offset (a read
+    of a segment's tail, an append and its accounting); the memo's own
+    lock guards the memo alone, so a probe never waits for file I/O.
+    """
+
+    def __init__(self, root: str) -> None:
+        super().__init__()
+        self.root = root
+        self._tail_lock = threading.Lock()
+        self._consumed: Dict[str, _Consumed] = {}  # guarded-by: _tail_lock
+        # Set once a segment was seen to shrink: the memo may hold lines
+        # that are gone, so no later backend adopts this index.
+        self._stale = False  # guarded-by: _tail_lock
+
+    def intact(self) -> bool:
+        """Whether every byte this index read is still on disk,
+        unchanged (a segment gone, shrunk or rewritten fails)."""
+        with self._tail_lock:
+            return not self._stale and all(
+                consumed.intact(os.path.join(self.root, name))
+                for name, consumed in self._consumed.items()
+            )
 
     def _tail_locked(self, name: str) -> Dict[str, Tuple[Optional[float], bool]]:
         """Consume the complete lines of segment ``name`` past what was
@@ -425,14 +443,12 @@ class _DirectoryIndex(object):
                 self._remember(self._tail_locked(writer.name))
             return True
 
-    def reset(self) -> None:
+    def clear(self) -> None:
         """Forget everything read: the segments were deleted."""
         with self._tail_lock:
             self._consumed.clear()
             self._stale = False
-            with self._lock:
-                self._memo.clear()
-                self._jobless.clear()
+            super().clear()
 
 
 class _Indexes(object):
@@ -476,85 +492,7 @@ def _forget_indexes() -> None:
 os.register_at_fork(after_in_child=_forget_indexes)
 
 
-class CacheBackend(object):
-    """Protocol for key/value sample stores.
-
-    ``get`` returns :data:`MISSING` (never raises) for absent keys;
-    ``put`` may receive the originating job so persistent backends
-    can write self-describing entries.
-    """
-
-    name = "backend"
-
-    def get(self, key: str):
-        raise NotImplementedError
-
-    def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
-        """Present entries for ``keys`` as a dict (absent keys are
-        simply missing from it — never :data:`MISSING` values).
-
-        The base implementation is a per-key :meth:`get` loop; backends
-        with a cheaper bulk path (one lock acquisition, one directory
-        listing) override it.
-        """
-        results: Dict[str, Optional[float]] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not MISSING:
-                results[key] = value
-        return results
-
-    def put(self, key: str, value: Optional[float], job: Optional[MeasurementJob] = None) -> None:
-        raise NotImplementedError
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not MISSING
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-
-class MemoryBackend(CacheBackend):
-    """The classic in-process dict store (dies with the process).
-
-    Thread-safe: the evaluation service runs several concurrent
-    scheduler runs against one shared cache, so every dict operation
-    takes a lock rather than leaning on accidental GIL atomicity.
-    """
-
-    name = "memory"
-
-    def __init__(self) -> None:
-        self._store: Dict[str, Optional[float]] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def get(self, key: str):
-        with self._lock:
-            return self._store.get(key, MISSING)
-
-    def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
-        """Bulk probe under a single lock acquisition."""
-        with self._lock:
-            store = self._store
-            return {key: store[key] for key in keys if key in store}
-
-    def put(self, key: str, value: Optional[float], job: Optional[MeasurementJob] = None) -> None:
-        with self._lock:
-            self._store[key] = value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
-
-class DiskBackend(CacheBackend):
+class DiskBackend(object):
     """An append-only log under ``root``: one segment per writer.
 
     Every entry is one JSON line (``schema``, ``key``, ``seconds``,
@@ -573,8 +511,8 @@ class DiskBackend(CacheBackend):
     latest line for a key wins within a segment; samples are
     deterministic, so segments never disagree in practice.
 
-    Reads are served from an in-process memo.  A miss in ``get``,
-    ``get_many`` or ``put`` refreshes it once per call by tailing each
+    Reads are served from an in-process memo.  A miss in ``get_many``
+    or ``put`` refreshes it once per call by tailing each
     segment that grew since the last refresh, so entries other
     processes append (fleet workers, a killed run being resumed) show
     up.  Storing a sample the memo already holds after that refresh
@@ -643,13 +581,6 @@ class DiskBackend(CacheBackend):
             for entry in _entries(data):
                 entries[entry["key"]] = entry
         return entries
-
-    def get(self, key: str):
-        value = self._index.get(key)
-        if value is MISSING:
-            self._index.refresh()
-            value = self._index.get(key)
-        return value
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
         """Bulk probe: memo lookups, and one refresh if any key misses."""
@@ -730,8 +661,8 @@ class DiskBackend(CacheBackend):
             os.close(fd)  # another writer took it before we locked it
 
     def keys(self) -> List[str]:
-        """Keys of every entry :meth:`get` could actually serve —
-        stale-schema and torn lines are excluded, matching ``get``."""
+        """Keys of every entry :meth:`get_many` could actually serve —
+        stale-schema and torn lines are excluded, matching it."""
         return sorted(self._scan())
 
     def entries(self) -> Iterator[Tuple[MeasurementJob, Optional[float]]]:
@@ -753,8 +684,8 @@ class DiskBackend(CacheBackend):
             yield job, entry["seconds"]
 
     def __len__(self) -> int:
-        """How many entries are servable (consistent with ``get`` and
-        ``keys``): a drained stale-schema directory counts as empty."""
+        """How many entries are servable (consistent with ``get_many``
+        and ``keys``): a drained stale-schema directory counts as empty."""
         return len(self._scan())
 
     def clear(self) -> None:
@@ -768,11 +699,11 @@ class DiskBackend(CacheBackend):
                 os.unlink(os.path.join(self.root, name))
             except OSError:
                 pass
-        self._index.reset()
+        self._index.clear()
 
 
-class ShardedBackend(CacheBackend):
-    """Deterministic key routing across N child backends.
+class ShardedBackend(object):
+    """Deterministic key routing across N :class:`DiskBackend` children.
 
     The shard of a key is a pure function of the key's first 8 hex
     digits, so any process holding the same shard roster places every
@@ -782,7 +713,7 @@ class ShardedBackend(CacheBackend):
 
     name = "sharded"
 
-    def __init__(self, backends: Sequence[CacheBackend]) -> None:
+    def __init__(self, backends: Sequence[DiskBackend]) -> None:
         backends = list(backends)
         if not backends:
             raise EvaluationError("ShardedBackend needs at least one child backend")
@@ -807,11 +738,8 @@ class ShardedBackend(CacheBackend):
     def shard_index(self, key: str) -> int:
         return int(key[:8], 16) % len(self.backends)
 
-    def shard_for(self, key: str) -> CacheBackend:
+    def shard_for(self, key: str) -> DiskBackend:
         return self.backends[self.shard_index(key)]
-
-    def get(self, key: str):
-        return self.shard_for(key).get(key)
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Optional[float]]:
         """Bulk probe: group keys by shard, one child probe each."""
@@ -838,29 +766,28 @@ class ResultCache(object):
     """Memo of completed measurements: job -> sample (seconds or None).
 
     ``hits``/``misses`` count lookups, so callers can verify that a
-    re-run of an identical spec performed zero new simulations.  The
-    storage itself is a pluggable :class:`CacheBackend`; the default
-    :class:`MemoryBackend` preserves the original in-process behavior,
-    while :meth:`on_disk` gives a persistent (optionally sharded)
-    cache that a killed sweep resumes from.
+    re-run of an identical spec performed zero new simulations.
+    ``ResultCache()`` keeps its samples in process memory, while
+    :meth:`on_disk` gives a persistent (optionally sharded) cache that
+    a killed sweep resumes from.  The store under it (``backend``)
+    answers only ``get_many``, ``put``, ``__len__`` and ``clear``.
+
+    A job's key is :func:`job_key`, computed on every call: the cache
+    keeps no reference to a job it was asked about.
 
     Thread-safe: one cache may back several concurrent scheduler runs
     (the evaluation service does exactly this).  An internal lock
-    guards only the hit/miss counters and the key memo — ``hits +
-    misses`` always equals the number of lookups, with no lost
-    increments under races.  Backend I/O runs outside it (each backend
-    guards itself), so one run's store never blocks another run's
-    probe.
+    guards only the hit/miss counters — ``hits + misses`` always equals
+    the number of lookups, with no lost increments under races.  Store
+    I/O runs outside it (each store guards itself), so one run's store
+    never blocks another run's probe.
     """
 
-    def __init__(self, backend: Optional[CacheBackend] = None) -> None:
-        self.backend = backend if backend is not None else MemoryBackend()
+    def __init__(self) -> None:
+        self.backend = _Memo()
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self._lock = threading.Lock()
-        # job -> content key memo: hashing a job canonicalizes it to
-        # JSON, which is worth doing once, not once per lookup.
-        self._keys: Dict[MeasurementJob, str] = {}  # guarded-by: _lock
 
     @classmethod
     def on_disk(cls, cache_dir: str, shards: Optional[int] = None) -> "ResultCache":
@@ -875,28 +802,31 @@ class ResultCache(object):
         if shards is not None:
             requested_layout = "flat" if shards == 1 else "sharded"
         count, layout = resolve_cache_layout(cache_dir, shards, requested_layout)
+        cache = cls()
         if layout == "flat":
             _write_cache_manifest(cache_dir, 1, "flat")
-            return cls(DiskBackend(cache_dir))
-        return cls(ShardedBackend.on_disk(cache_dir, count))
+            cache.backend = DiskBackend(cache_dir)
+        else:
+            cache.backend = ShardedBackend.on_disk(cache_dir, count)
+        return cache
 
     def key(self, job: MeasurementJob) -> str:
-        with self._lock:
-            key = self._keys.get(job)
-            if key is None:
-                key = self._keys[job] = job_key(job)
-            return key
+        return job_key(job)
 
     def __len__(self) -> int:
         return len(self.backend)
 
+    def _probe(self, job: MeasurementJob):
+        key = job_key(job)
+        return self.backend.get_many([key]).get(key, MISSING)
+
     def __contains__(self, job: MeasurementJob) -> bool:
-        return self.key(job) in self.backend
+        return self._probe(job) is not MISSING
 
     def lookup(self, job: MeasurementJob):
         """The cached sample, or the :data:`MISSING` sentinel
         (``None`` is a legitimate sample: "Not Available")."""
-        value = self.backend.get(self.key(job))
+        value = self._probe(job)
         with self._lock:
             if value is MISSING:
                 self.misses += 1
@@ -910,19 +840,12 @@ class ResultCache(object):
         Jobs with no entry are simply absent from the result (never
         mapped to :data:`MISSING` — a cached ``None`` sample is "Not
         Available", so presence must be the membership test).  One
-        lock acquisition memoizes the keys, one backend bulk probe
-        runs outside it, and one more counts; each *unique* job counts
-        exactly one hit or miss, matching what a deduplicating per-job
-        ``lookup`` loop would have recorded.
+        bulk probe of the store runs outside the cache lock, and one
+        lock acquisition counts; each *unique* job counts exactly one
+        hit or miss, matching what a deduplicating per-job ``lookup``
+        loop would have recorded.
         """
-        keys: Dict[MeasurementJob, str] = {}
-        with self._lock:
-            for job in jobs:
-                if job not in keys:
-                    key = self._keys.get(job)
-                    if key is None:
-                        key = self._keys[job] = job_key(job)
-                    keys[job] = key
+        keys = {job: job_key(job) for job in dict.fromkeys(jobs)}
         found = self.backend.get_many(list(keys.values()))
         results = {job: found[key] for job, key in keys.items() if key in found}
         with self._lock:
@@ -931,11 +854,11 @@ class ResultCache(object):
         return results
 
     def store(self, job: MeasurementJob, value: Optional[float]) -> None:
-        self.backend.put(self.key(job), value, job)
+        self.backend.put(job_key(job), value, job)
 
     def peek(self, job: MeasurementJob) -> Optional[float]:
         """The cached sample, without touching the hit/miss counters."""
-        value = self.backend.get(self.key(job))
+        value = self._probe(job)
         if value is MISSING:
             raise KeyError(job)
         return value
@@ -943,6 +866,5 @@ class ResultCache(object):
     def clear(self) -> None:
         self.backend.clear()
         with self._lock:
-            self._keys.clear()
             self.hits = 0
             self.misses = 0

@@ -6,7 +6,7 @@ heartbeat thread keeping its leases (and liveness beacon) fresh.
 :class:`WorkerPool` runs N workers as in-process threads over one
 shared :class:`~repro.core.cache.ResultCache`, which is how the
 conformance suite, the reclaim tests and the benchmark stand up a
-fleet without subprocess overhead (and how the DiskBackend locks earn
+fleet without subprocess overhead (and how the cache's locks earn
 their keep).
 
 A ticket is a chunk of jobs, run in order.  Each job goes through

@@ -1,9 +1,11 @@
-"""Unit tests for the cache storage stack (memory, disk, sharded)."""
+"""Unit tests for the cache stores (memory, disk, sharded)."""
 
+import gc
 import glob
 import json
 import os
 import pathlib
+import weakref
 
 import pytest
 
@@ -11,7 +13,6 @@ from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     MISSING,
     DiskBackend,
-    MemoryBackend,
     ResultCache,
     ShardedBackend,
     job_key,
@@ -28,6 +29,24 @@ def segments(root):
     return sorted(glob.glob(os.path.join(str(root), "seg-*.jsonl")))
 
 
+def get(store, key):
+    """One key's sample in ``store``, or :data:`MISSING`."""
+    return store.get_many([key]).get(key, MISSING)
+
+
+#: The three forms of :class:`ResultCache`, each over a fresh directory.
+CACHE_FORMS = {
+    "memory": lambda root: ResultCache(),
+    "disk": lambda root: ResultCache.on_disk(root),
+    "sharded": lambda root: ResultCache.on_disk(root, shards=2),
+}
+
+
+@pytest.fixture(params=sorted(CACHE_FORMS))
+def cache(request, tmp_path):
+    return CACHE_FORMS[request.param](str(tmp_path / "cache"))
+
+
 class TestJobKey:
     def test_stable_and_content_addressed(self):
         assert job_key(JOB) == job_key(sendrecv_job("p4", "sun-ethernet", 1024))
@@ -41,23 +60,63 @@ class TestJobKey:
         assert job_key(left) == job_key(right)
 
 
-class TestMemoryBackend:
-    def test_get_put_contains_len_clear(self):
-        backend = MemoryBackend()
-        key = job_key(JOB)
-        assert backend.get(key) is MISSING
-        assert key not in backend
-        backend.put(key, 1.5, JOB)
-        assert backend.get(key) == 1.5
-        assert key in backend and len(backend) == 1
-        backend.clear()
-        assert backend.get(key) is MISSING and len(backend) == 0
+class TestCacheConformance:
+    """What every form of :class:`ResultCache` answers alike."""
 
-    def test_none_sample_is_not_missing(self):
-        backend = MemoryBackend()
-        backend.put("k", None)
-        assert backend.get("k") is None
-        assert "k" in backend
+    def test_none_sample_is_a_hit(self, cache):
+        assert cache.lookup(JOB) is MISSING
+        cache.store(JOB, None)
+        assert cache.lookup(JOB) is None
+        assert cache.get_many([JOB]) == {JOB: None}
+        assert JOB in cache and cache.peek(JOB) is None
+        assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_get_many_agrees_with_lookup(self, cache):
+        stored = [sendrecv_job("p4", "sun-ethernet", 1024, seed=s) for s in range(6)]
+        for index, job in enumerate(stored[:4]):
+            cache.store(job, None if index == 0 else float(index))
+        bulk = cache.get_many(stored + stored[:2])  # a duplicate probes once
+        assert bulk == {job: None if index == 0 else float(index)
+                        for index, job in enumerate(stored[:4])}
+        for job in stored:
+            assert cache.lookup(job) == bulk.get(job, MISSING)
+        assert (cache.hits, cache.misses) == (8, 4)
+
+    def test_peek_and_contains_leave_the_counters(self, cache):
+        with pytest.raises(KeyError):
+            cache.peek(JOB)
+        assert JOB not in cache
+        cache.store(JOB, 0.25)
+        assert cache.peek(JOB) == 0.25 and JOB in cache and OTHER not in cache
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_len_and_clear(self, cache):
+        cache.store(JOB, 1.5)
+        cache.store(OTHER, 2.5)
+        cache.store(JOB, 1.5)
+        assert len(cache) == 2
+        assert cache.lookup(JOB) == 1.5
+        cache.clear()
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert cache.lookup(JOB) is MISSING and JOB not in cache
+        cache.store(JOB, 1.5)  # stores again after a clear
+        assert cache.lookup(JOB) == 1.5 and len(cache) == 1
+
+
+class TestRetention:
+    def test_a_dropped_job_is_not_retained(self, cache):
+        """The cache keeps keys and samples, never the jobs it was
+        asked about: a long-lived shared cache (``repro serve``) must
+        not hold every job object for its life."""
+        job = sendrecv_job("p4", "sun-ethernet", 2048, seed=7)
+        cache.store(job, 0.5)
+        assert cache.get_many([job]) == {job: 0.5}
+        assert cache.lookup(job) == 0.5
+        dropped = weakref.ref(job)
+        del job
+        gc.collect()
+        assert dropped() is None
+        assert len(cache) == 1
 
 
 class TestDiskBackend:
@@ -65,14 +124,14 @@ class TestDiskBackend:
         key = job_key(JOB)
         DiskBackend(str(tmp_path)).put(key, 0.25, JOB)
         fresh = DiskBackend(str(tmp_path))
-        assert fresh.get(key) == 0.25
+        assert get(fresh, key) == 0.25
         assert len(fresh) == 1
         assert fresh.keys() == [key]
 
     def test_none_sample_round_trips(self, tmp_path):
         key = job_key(JOB)
         DiskBackend(str(tmp_path)).put(key, None, JOB)
-        assert DiskBackend(str(tmp_path)).get(key) is None
+        assert get(DiskBackend(str(tmp_path)), key) is None
 
     def test_entries_reconstruct_jobs(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
@@ -92,7 +151,7 @@ class TestDiskBackend:
         with open(path, "w") as handle:
             handle.write(json.dumps(entry) + "\n")
         fresh = DiskBackend(str(tmp_path))
-        assert fresh.get(key) is MISSING
+        assert get(fresh, key) is MISSING
         assert list(fresh.entries()) == []
         # len/keys agree with get: a drained stale directory is empty.
         assert len(fresh) == 0
@@ -107,14 +166,14 @@ class TestDiskBackend:
         with open(path, "w") as handle:
             handle.write("{not json\n")
         fresh = DiskBackend(str(tmp_path))
-        assert fresh.get(key) is MISSING
+        assert get(fresh, key) is MISSING
         assert list(fresh.entries()) == []
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage", "empty"])
     def test_torn_entry_is_a_miss_everywhere(self, tmp_path, damage):
         """A torn last line (cut short by a kill, binary garbage, an
         empty line) must read as a miss through *every* read surface —
-        get, keys, entries and len — never as an exception or a
+        get_many, keys, entries and len — never as an exception or a
         phantom entry, and must not take the line before it along."""
         backend = DiskBackend(str(tmp_path))
         torn_key = job_key(JOB)
@@ -131,7 +190,7 @@ class TestDiskBackend:
         with open(path, "wb") as handle:
             handle.write(kept + damaged)
         fresh = DiskBackend(str(tmp_path))
-        assert fresh.get(torn_key) is MISSING
+        assert get(fresh, torn_key) is MISSING
         assert fresh.keys() == [job_key(OTHER)]
         assert dict(fresh.entries()) == {OTHER: 0.5}
         assert len(fresh) == 1
@@ -149,12 +208,12 @@ class TestDiskBackend:
             handle.truncate(os.path.getsize(path) - 7)
         third = sendrecv_job("mpi", "sun-ethernet", 1024)
         writer = DiskBackend(str(tmp_path))
-        assert writer.get(job_key(JOB)) is MISSING
+        assert get(writer, job_key(JOB)) is MISSING
         writer.put(job_key(third), 0.75, third)
         assert segments(tmp_path) == [path]  # took the free segment
         fresh = DiskBackend(str(tmp_path))
-        assert fresh.get(job_key(third)) == 0.75
-        assert fresh.get(job_key(JOB)) is MISSING
+        assert get(fresh, job_key(third)) == 0.75
+        assert get(fresh, job_key(JOB)) is MISSING
         assert dict(fresh.entries()) == {OTHER: 0.5, third: 0.75}
 
     def test_clear_removes_every_segment_but_no_foreign_file(self, tmp_path):
@@ -174,7 +233,7 @@ class TestDiskBackend:
         assert os.path.exists(legacy)
         assert len(DiskBackend(str(tmp_path))) == 0
         first.put(key, 0.25, JOB)  # writes again after a clear
-        assert DiskBackend(str(tmp_path)).get(key) == 0.25
+        assert get(DiskBackend(str(tmp_path)), key) == 0.25
 
     def test_writers_reuse_free_segments(self, tmp_path):
         """Concurrent writers each own a segment; a later writer takes
@@ -191,7 +250,7 @@ class TestDiskBackend:
             DiskBackend(str(tmp_path)).put(keys[index], float(index))
         assert len(segments(tmp_path)) == 2
         fresh = DiskBackend(str(tmp_path))
-        assert [fresh.get(key) for key in keys] == [0.0, 1.0, 2.0, 3.0]
+        assert [get(fresh, key) for key in keys] == [0.0, 1.0, 2.0, 3.0]
 
     def test_one_segment_no_litter(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
@@ -219,14 +278,14 @@ class TestDiskBackend:
         del in_flight
         assert not closer.alive
         backend.put(job_key(OTHER), 0.5, OTHER)
-        assert DiskBackend(str(tmp_path)).get(job_key(OTHER)) == 0.5
+        assert get(DiskBackend(str(tmp_path)), job_key(OTHER)) == 0.5
 
     def test_clear_removes_entries(self, tmp_path):
         backend = DiskBackend(str(tmp_path))
         backend.put(job_key(JOB), 0.25, JOB)
         backend.clear()
         assert len(backend) == 0
-        assert DiskBackend(str(tmp_path)).get(job_key(JOB)) is MISSING
+        assert get(DiskBackend(str(tmp_path)), job_key(JOB)) is MISSING
 
 
 class TestShardedBackend:
@@ -236,14 +295,15 @@ class TestShardedBackend:
         with pytest.raises(EvaluationError):
             ShardedBackend.on_disk("unused", shards=0)
 
-    def test_routes_to_exactly_one_memory_shard(self):
-        backend = ShardedBackend([MemoryBackend() for _ in range(4)])
+    def test_routes_to_exactly_one_shard(self, tmp_path):
+        backend = ShardedBackend([DiskBackend(str(tmp_path / str(index)))
+                                  for index in range(4)])
         key = job_key(JOB)
         backend.put(key, 0.25, JOB)
-        holders = [child for child in backend.backends if key in child]
+        holders = [child for child in backend.backends if len(child)]
         assert len(holders) == 1
         assert holders[0] is backend.backends[backend.shard_index(key)]
-        assert backend.get(key) == 0.25
+        assert get(backend, key) == 0.25
         assert len(backend) == 1
 
     def test_disk_shards_share_a_root(self, tmp_path):
@@ -255,30 +315,11 @@ class TestShardedBackend:
         assert sorted(os.listdir(str(tmp_path))) == [
             "manifest.json", "shard-00", "shard-01", "shard-02"]
         reopened = ShardedBackend.on_disk(str(tmp_path), shards=3)
-        assert [reopened.get(key) for key in keys] == [float(i) for i in range(12)]
+        assert [get(reopened, key) for key in keys] == [float(i) for i in range(12)]
         assert len(reopened) == 12
 
 
 class TestResultCache:
-    def test_default_backend_is_memory(self):
-        assert isinstance(ResultCache().backend, MemoryBackend)
-
-    def test_hit_miss_counters(self):
-        cache = ResultCache()
-        assert cache.lookup(JOB) is MISSING
-        cache.store(JOB, 1.0)
-        assert cache.lookup(JOB) == 1.0
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert JOB in cache and OTHER not in cache
-
-    def test_peek_raises_and_leaves_counters(self):
-        cache = ResultCache()
-        with pytest.raises(KeyError):
-            cache.peek(JOB)
-        cache.store(JOB, None)
-        assert cache.peek(JOB) is None
-        assert (cache.hits, cache.misses) == (0, 0)
-
     def test_on_disk_factory(self, tmp_path):
         single = ResultCache.on_disk(str(tmp_path / "one"))
         assert isinstance(single.backend, DiskBackend)
@@ -368,16 +409,16 @@ class TestConcurrentAccess:
         assert cache.hits == threads * per_thread
         assert len(cache) == threads * per_thread
 
-    def test_memory_backend_concurrent_put_get(self):
+    def test_memory_store_concurrent_put_get(self):
         threads, per_thread = 8, 200
-        backend = MemoryBackend()
+        backend = ResultCache().backend
 
         def worker(index):
             keys = ["%02d-%04d" % (index, offset) for offset in range(per_thread)]
             for offset, key in enumerate(keys):
                 backend.put(key, float(offset))
             for offset, key in enumerate(keys):
-                assert backend.get(key) == float(offset)
+                assert get(backend, key) == float(offset)
 
         self._hammer(worker, threads)
         assert len(backend) == threads * per_thread
@@ -399,7 +440,7 @@ class TestConcurrentAccess:
             for offset, key in enumerate(keys):
                 backend.put(key, float(offset))
             for offset, key in enumerate(keys):
-                assert backend.get(key) == float(offset)
+                assert get(backend, key) == float(offset)
 
         self._hammer(worker, threads)
         assert len(backend) == threads * per_thread
@@ -419,11 +460,11 @@ class TestConcurrentAccess:
         def worker(index):
             for _ in range(rounds):
                 for offset, key in enumerate(keys):
-                    assert backend.get(key) == float(offset)
+                    assert get(backend, key) == float(offset)
                     backend.put(key, float(offset))
 
         self._hammer(worker, threads)
-        assert [backend.get(key) for key in keys] == [0.0, 1.0, 2.0, 3.0]
+        assert [get(backend, key) for key in keys] == [0.0, 1.0, 2.0, 3.0]
 
     def test_peek_is_counter_neutral_under_concurrency(self, tmp_path):
         """peek() now goes through the cache lock: hammering it while
@@ -445,21 +486,22 @@ class TestConcurrentAccess:
         assert cache.misses == 0
 
 
-    def test_a_slow_store_does_not_block_other_probes(self):
-        """The cache lock covers only the key memo and the counters:
-        while one run's store sits in backend I/O, another run's
-        lookup and bulk probe go straight through."""
+    def test_a_slow_store_does_not_block_other_probes(self, monkeypatch):
+        """The cache lock covers only the counters: while one run's
+        store sits in store I/O, another run's lookup and bulk probe go
+        straight through."""
         import threading
 
         entered, release = threading.Event(), threading.Event()
+        cache = ResultCache()
+        put = cache.backend.put
 
-        class SlowPut(MemoryBackend):
-            def put(self, key, value, job=None):
-                entered.set()
-                release.wait(30)
-                super(SlowPut, self).put(key, value, job)
+        def slow_put(key, value, job=None):
+            entered.set()
+            release.wait(30)
+            put(key, value, job)
 
-        cache = ResultCache(SlowPut())
+        monkeypatch.setattr(cache.backend, "put", slow_put)
         storer = threading.Thread(target=cache.store, args=(JOB, 1.0))
         storer.start()
         try:
@@ -477,7 +519,7 @@ class TestConcurrentAccess:
 
     def test_disk_counters_account_exactly_under_threads(self, tmp_path):
         """``hits + misses`` equals the lookups made, bulk or single,
-        with backend I/O running outside the cache lock."""
+        with store I/O running outside the cache lock."""
         threads, rounds = 8, 20
         cache = ResultCache.on_disk(str(tmp_path), shards=2)
         jobs = [sendrecv_job("p4", "sun-ethernet", 1024, seed=s) for s in range(6)]
@@ -524,7 +566,7 @@ class TestCacheManifest:
         adopted = ResultCache.on_disk(str(tmp_path))
         assert isinstance(adopted.backend, ShardedBackend)
         assert len(adopted.backend.backends) == 3
-        assert adopted.backend.get(key) == 0.5
+        assert get(adopted.backend, key) == 0.5
 
     def test_mismatched_roster_names_both_counts(self, tmp_path):
         ResultCache.on_disk(str(tmp_path), shards=2)

@@ -1,7 +1,7 @@
-"""Bulk cache probes: ``get_many`` across every backend.
+"""Bulk cache probes: ``get_many`` on the cache and its disk store.
 
 The scheduler probes jobs in chunks, so one ``get_many`` must behave
-exactly like N ``get`` calls — same presence semantics (absent keys
+exactly like N ``lookup`` calls — same presence semantics (absent jobs
 simply omitted, ``None`` values preserved), same hit/miss accounting
 at the :class:`ResultCache` layer, and on disk at most one refresh of
 the segment tails per probe instead of one read per key.
@@ -10,17 +10,7 @@ the segment tails per probe instead of one read per key.
 import os
 import tempfile
 
-import pytest
-
-from repro.core.cache import (
-    MISSING,
-    CacheBackend,
-    DiskBackend,
-    MemoryBackend,
-    ResultCache,
-    ShardedBackend,
-    job_key,
-)
+from repro.core.cache import MISSING, DiskBackend, ResultCache, job_key
 from repro.core.jobs import MeasurementJob
 
 
@@ -33,27 +23,6 @@ def jobs(count, seed=0):
 
 
 class TestBackends:
-    @pytest.mark.parametrize("factory", [
-        MemoryBackend,
-        lambda: ShardedBackend([MemoryBackend() for _ in range(3)]),
-    ])
-    def test_get_many_matches_get(self, factory):
-        backend = factory()
-        stored = jobs(6)
-        keys = [job_key(job) for job in stored]
-        for index, key in enumerate(keys[:4]):
-            backend.put(key, None if index == 0 else float(index), stored[index])
-
-        found = backend.get_many(keys)
-        assert set(found) == set(keys[:4])
-        assert found[keys[0]] is None  # None is a value, not a miss
-        for key in keys:
-            single = backend.get(key)
-            if key in found:
-                assert single == found[key]
-            else:
-                assert single is MISSING
-
     def test_disk_get_many_refreshes_then_serves_the_memo(self):
         stored = jobs(8)
         with tempfile.TemporaryDirectory() as root:
@@ -77,23 +46,6 @@ class TestBackends:
                 os.unlink(os.path.join(root, name))
             assert fresh.get_many(keys[:5]) == found
 
-    def test_default_backend_implementation_loops(self):
-        """The CacheBackend base gives subclasses get_many for free."""
-
-        class Tiny(CacheBackend):
-            def __init__(self):
-                self.data = {}
-
-            def get(self, key):
-                return self.data.get(key, MISSING)
-
-            def put(self, key, value, job=None):
-                self.data[key] = value
-
-        backend = Tiny()
-        backend.put("a", 1.0)
-        assert backend.get_many(["a", "b"]) == {"a": 1.0}
-
 
 class TestResultCache:
     def test_counters_and_presence(self):
@@ -113,37 +65,6 @@ class TestResultCache:
         assert cache.get_many([job, job, job]) == {job: 1.0}
         assert cache.hits == 1
         assert cache.misses == 0
-
-    def test_backend_without_get_many_still_works(self):
-        """A backend that overrides only ``get`` and ``put`` probes in
-        bulk through the ``CacheBackend`` base's ``get_many``."""
-
-        class Plain(CacheBackend):
-            def __init__(self):
-                self.data = {}
-
-            def get(self, key):
-                return self.data.get(key, MISSING)
-
-            def put(self, key, value, job=None):
-                self.data[key] = value
-
-        cache = ResultCache(Plain())
-        stored = jobs(3)
-        cache.store(stored[0], None)
-        results = cache.get_many(stored)
-        assert results == {stored[0]: None}
-        assert cache.hits == 1 and cache.misses == 2
-
-    def test_a_backend_outside_the_protocol_is_refused_at_the_probe(self):
-        """No fallback for duck-typed backends without ``get_many``."""
-
-        class GetOnly(object):
-            def get(self, key):
-                return MISSING
-
-        with pytest.raises(AttributeError, match="get_many"):
-            ResultCache(GetOnly()).get_many(jobs(1))
 
     def test_get_many_agrees_with_lookup(self):
         with tempfile.TemporaryDirectory() as root:

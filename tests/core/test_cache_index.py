@@ -25,7 +25,7 @@ import tracemalloc
 import pytest
 
 import repro.core.cache as cache_module
-from repro.core.cache import MISSING, DiskBackend, ResultCache
+from repro.core.cache import DiskBackend, ResultCache
 from repro.core.jobs import canonical_job
 from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
@@ -175,7 +175,7 @@ class TestExactReuse:
         first.run(SPEC)
         assert first.simulations_run == SIMULATIONS
         keys = [first.cache.key(job) for job in SPEC.jobs()]
-        assert all(first.cache.backend.get(key) is not MISSING for key in keys)
+        assert set(first.cache.backend.get_many(keys)) == set(keys)
         CHANGES[change](root)
         if open_with == "disk-backend":
             assert DiskBackend(root).get_many(keys) == {}
@@ -191,7 +191,7 @@ def _put_and_reopen(root, number, errors):
                 backend = DiskBackend(root)  # drops the last one's writer
             key = key_for(number * 1000 + index)
             backend.put(key, float(index))
-            assert backend.get(key) == float(index)
+            assert backend.get_many([key]) == {key: float(index)}
     except Exception as error:  # reported by the test
         errors.append(error)
 
@@ -242,7 +242,7 @@ class TestBoundedRegistry:
             cache = ResultCache.on_disk(root)
             for index in range(20):
                 cache.backend.put(key_for(number * 100 + index), float(index))
-            assert cache.backend.get(key_for(number * 100)) == 0.0
+            assert cache.backend.get_many([key_for(number * 100)]) == {key_for(number * 100): 0.0}
             del cache
             shutil.rmtree(root)
 
@@ -266,7 +266,7 @@ class TestBoundedRegistry:
 def _open_and_write(root):
     backend = DiskBackend(root)
     backend.put(key_for(1), 1.0)
-    assert DiskBackend(root).get(key_for(1)) == 1.0
+    assert DiskBackend(root).get_many([key_for(1)]) == {key_for(1): 1.0}
 
 
 def _hold(lock, held, release):
@@ -302,4 +302,4 @@ class TestForkSafety:
         finally:
             release.set()
             holder.join()
-        assert DiskBackend(root).get(key_for(1)) == 1.0
+        assert DiskBackend(root).get_many([key_for(1)]) == {key_for(1): 1.0}

@@ -165,7 +165,7 @@ class TestForkedWriters:
         backend.put("c" * 64, 3.0)  # the parent keeps its own segment
         with open(parents) as handle:
             assert [json.loads(line)["key"][0] for line in handle] == ["a", "c"]
-        assert backend.get("b" * 64) == 2.0  # and sees the child's line
+        assert backend.get_many(["b" * 64]) == {"b" * 64: 2.0}  # and sees the child's line
 
 
 def _serve_backend(root, conn):
@@ -180,8 +180,7 @@ def _serve_backend(root, conn):
             backend.put(key, value)
             conn.send(None)
         else:
-            result = backend.get(key)
-            conn.send("missing" if result is MISSING else result)
+            conn.send(backend.get_many([key]).get(key, "missing"))
 
 
 def sample_for(index):
@@ -210,7 +209,7 @@ def check_two_process_interleaving(seed):
                 elif op == "put":
                     got = local.put(key, value)
                 else:
-                    got = local.get(key)
+                    got = local.get_many([key]).get(key, MISSING)
                 if op == "put":
                     model[key] = value
                 else:
@@ -222,7 +221,7 @@ def check_two_process_interleaving(seed):
                 child.kill()
                 child.join()
         fresh = DiskBackend(root)
-        assert {key: fresh.get(key) for key in fresh.keys()} == model
+        assert fresh.get_many(fresh.keys()) == model
         assert len(segments(root)) <= 2
 
 

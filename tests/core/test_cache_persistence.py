@@ -36,11 +36,14 @@ class TestSchedulerCacheOptions:
             Scheduler(cache=ResultCache(), cache_dir=str(tmp_path))
 
     def test_cache_backend_option(self, tmp_path):
-        """A bare backend is wrapped by the caller: ``cache_backend=``
-        is gone, ``cache=ResultCache(backend)`` says the same."""
+        """A store is never passed in: ``cache_backend=`` and
+        ``ResultCache(backend)`` are gone, ``ResultCache.on_disk``
+        says the same."""
         with pytest.raises(TypeError):
             Scheduler(cache_backend=DiskBackend(str(tmp_path)))
-        scheduler = Scheduler(cache=ResultCache(DiskBackend(str(tmp_path))))
+        with pytest.raises(TypeError):
+            ResultCache(DiskBackend(str(tmp_path)))
+        scheduler = Scheduler(cache=ResultCache.on_disk(str(tmp_path)))
         assert isinstance(scheduler.cache.backend, DiskBackend)
 
     def test_retries_validated(self):

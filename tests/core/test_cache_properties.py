@@ -12,8 +12,9 @@ The properties themselves:
   later reads from the memo, while a different sample, a torn line, a
   stale-schema line or an entry without its job under the key is
   superseded;
-* :class:`ShardedBackend` routes every key to exactly one shard, and
-  any two processes holding the same roster agree on the placement.
+* :class:`ShardedBackend` routes every key to exactly one of its disk
+  shards, and any two processes holding the same roster agree on the
+  placement.
 """
 
 import glob
@@ -29,7 +30,6 @@ from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     MISSING,
     DiskBackend,
-    MemoryBackend,
     ResultCache,
     ShardedBackend,
     job_key,
@@ -84,7 +84,7 @@ def check_disk_round_trip(seed: int) -> None:
         assert cache.lookup(job) is MISSING
         cache.store(job, value)
         # A fresh cache over the same directory: the resume path.
-        fresh = ResultCache(DiskBackend(root))
+        fresh = ResultCache.on_disk(root)
         assert fresh.lookup(job) == value
         entries = list(DiskBackend(root).entries())
         assert entries == [(job, value)]
@@ -105,7 +105,7 @@ def check_idempotent_put(root: str, job: MeasurementJob, value) -> None:
     assert os.path.getsize(path) == before
     assert glob.glob(os.path.join(root, "seg-*.jsonl")) == [path]
     os.unlink(path)
-    assert again.get(key) == value  # the skip path filled the memo
+    assert again.get_many([key]) == {key: value}  # the skip path filled the memo
 
     entry = {"schema": CACHE_SCHEMA_VERSION, "key": key,
              "seconds": 1.0 if value is None else None, "job": job.to_dict()}
@@ -120,7 +120,7 @@ def check_idempotent_put(root: str, job: MeasurementJob, value) -> None:
         with open(path, "w") as handle:
             handle.write(text)
         DiskBackend(root).put(key, value, job)
-        assert DiskBackend(root).get(key) == value, damage
+        assert DiskBackend(root).get_many([key]) == {key: value}, damage
         assert list(DiskBackend(root).entries()) == [(job, value)], damage
 
 
@@ -129,14 +129,19 @@ def check_sharded_routing(seed: int) -> None:
     job = random_job(rng)
     shards = rng.randint(1, 9)
     key = job_key(job)
-    backend = ShardedBackend([MemoryBackend() for _ in range(shards)])
-    backend.put(key, 1.0, job)
-    holders = [index for index, child in enumerate(backend.backends) if key in child]
-    assert holders == [backend.shard_index(key)]
-    # A second process with the same roster places the key identically.
-    twin = ShardedBackend([MemoryBackend() for _ in range(shards)])
-    assert twin.shard_index(key) == backend.shard_index(key)
-    assert backend.get(key) == 1.0
+    with tempfile.TemporaryDirectory() as root:
+        backend = ShardedBackend([DiskBackend(os.path.join(root, str(index)))
+                                  for index in range(shards)])
+        backend.put(key, 1.0, job)
+        holders = [index for index, child in enumerate(backend.backends)
+                   if child.keys() == [key]]
+        assert holders == [backend.shard_index(key)]
+        assert sum(map(len, backend.backends)) == 1
+        # A second process with the same roster places the key identically.
+        twin = ShardedBackend([DiskBackend(os.path.join(root, "twin-%d" % index))
+                               for index in range(shards)])
+        assert twin.shard_index(key) == backend.shard_index(key)
+        assert backend.get_many([key]) == {key: 1.0}
 
 
 if HAVE_HYPOTHESIS:

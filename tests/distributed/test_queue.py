@@ -209,7 +209,8 @@ class TestHygiene:
         queue.heartbeat_worker("w1", {"processed": 3})
         queue.heartbeat_worker("w2", {"processed": 0})
         beacon_path = os.path.join(queue.root, "workers", "w2.json")
-        stale = json.load(open(beacon_path))
+        with open(beacon_path) as handle:
+            stale = json.load(handle)
         stale["time"] -= 60.0
         with open(beacon_path, "w") as handle:
             json.dump(stale, handle)
