@@ -9,19 +9,15 @@ checks against the published data.
 
 import sys
 
-from repro.bench import available_experiments, run_experiments
+from repro.bench import run_experiments
+from repro.errors import ConfigurationError
 
 
 def main() -> None:
-    requested = sys.argv[1:] or None
-    if requested:
-        unknown = set(requested) - set(available_experiments())
-        if unknown:
-            raise SystemExit(
-                "unknown experiments: %s\navailable: %s"
-                % (", ".join(sorted(unknown)), ", ".join(available_experiments()))
-            )
-    results = run_experiments(requested)
+    try:
+        results = run_experiments(sys.argv[1:] or None)
+    except ConfigurationError as error:
+        raise SystemExit(str(error))
     failed = [result for result in results if not result.passed]
     print("=" * 72)
     print(

@@ -1,14 +1,14 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every artifact.
 
-Runs the full experiment registry and writes the markdown record.
+Runs the full experiment registry in one pass (every artifact over one
+shared scheduler) and writes the markdown record.
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.bench import paper_data, run_experiment
-from repro.bench.runner import available_experiments
+from repro.bench import available_experiments, paper_data, run_experiments
 
 PREAMBLE = """\
 # EXPERIMENTS — paper vs measured
@@ -52,8 +52,8 @@ platform-to-platform ratios are meaningful.
 def main() -> None:
     out = io.StringIO()
     out.write(PREAMBLE)
-    for exp_id in available_experiments():
-        result = run_experiment(exp_id)
+    exp_ids = available_experiments()
+    for exp_id, result in zip(exp_ids, run_experiments(exp_ids, echo=False)):
         out.write("\n## %s — %s\n\n" % (result.exp_id, result.title))
         passed = sum(1 for check in result.checks if check.passed)
         out.write("Shape checks: **%d/%d passed**\n\n" % (passed, len(result.checks)))

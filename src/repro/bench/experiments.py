@@ -1,8 +1,9 @@
 """One experiment per paper artifact (tables 1-5, figures 2-8).
 
-Each ``run_*`` function executes the measurements, formats the same
-rows/series the paper prints, runs the shape checks against the
-paper's numbers/claims, and returns an :class:`ExperimentResult`.
+Each ``run_*`` function measures its jobs in one pass of the
+``scheduler`` it is lent (default: a serial in-process one), formats
+the same rows/series the paper prints, runs the shape checks against
+the paper's numbers/claims, and returns an :class:`ExperimentResult`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.apps.suite import BENCHMARKED_APPS, SU_PDABS_TABLE
 from repro.bench import compare, paper_data
 from repro.bench.tables import format_series, format_table
-from repro.core import measurements
+from repro.core.jobs import application_job, broadcast_job, global_sum_job, ring_job, sendrecv_job
 from repro.core.ranking import primitive_rankings, summary_table
 from repro.core.report import render_usability_table
+from repro.core.scheduler import Scheduler
 from repro.tools.registry import PRIMITIVE_NAMES
 
 __all__ = [
@@ -65,6 +67,13 @@ class ExperimentResult(object):
         for check in self.checks:
             lines.append(repr(check))
         return "\n".join(lines)
+
+
+def _measure(rows: Dict, scheduler: Optional[Scheduler]) -> Dict:
+    """Each row of jobs as its samples (seconds), from one pass of
+    ``scheduler`` (default: a serial in-process one)."""
+    samples = (scheduler or Scheduler()).run_jobs([job for row in rows.values() for job in row])
+    return {key: [samples[job] for job in row] for key, row in rows.items()}
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +134,17 @@ def run_table3(
     sizes_kb: Sequence[int] = paper_data.TABLE3_SIZES_KB,
     cell_factor: float = TABLE3_CELL_FACTOR,
     seed: int = 0,
+    scheduler: Optional[Scheduler] = None,
 ) -> ExperimentResult:
     """Table 3 — snd/recv round-trip times vs the paper's exact values."""
-    measured: Dict[tuple, Dict[int, float]] = {}
-    for (tool, platform), paper_cells in paper_data.TABLE3_RTT_MS.items():
-        measured[(tool, platform)] = {}
-        for kb in sizes_kb:
-            seconds = measurements.measure_sendrecv(tool, platform, kb * 1024, seed=seed)
-            measured[(tool, platform)][kb] = seconds * 1e3
+    rows = {
+        combo: [sendrecv_job(*combo, kb * 1024, seed=seed) for kb in sizes_kb]
+        for combo in paper_data.TABLE3_RTT_MS
+    }
+    measured: Dict[tuple, Dict[int, float]] = {
+        combo: {kb: seconds * 1e3 for kb, seconds in zip(sizes_kb, row)}
+        for combo, row in _measure(rows, scheduler).items()
+    }
 
     headers = ["KB"]
     combos = sorted(paper_data.TABLE3_RTT_MS)
@@ -212,10 +224,10 @@ def run_table3(
     return ExperimentResult("T3", "snd/recv timing (Table 3)", text, checks)
 
 
-def run_table4(seed: int = 0) -> ExperimentResult:
+def run_table4(seed: int = 0, scheduler: Optional[Scheduler] = None) -> ExperimentResult:
     """Table 4 — per-platform primitive ranking summary."""
     rankings = {
-        platform: primitive_rankings(platform, seed=seed)
+        platform: primitive_rankings(platform, seed=seed, scheduler=scheduler)
         for platform in paper_data.TABLE4_EXPECTED_RANKINGS
     }
     text = summary_table(rankings)
@@ -263,92 +275,82 @@ def run_table5() -> ExperimentResult:
 # Figures
 # ----------------------------------------------------------------------
 
-def _sweep(
-    measure: Callable[..., float],
-    tools: Sequence[str],
-    platform: str,
+def _tpl_figure(
+    figure: int,
+    primitive: str,
+    make_job: Callable,
+    network: str,
     sizes_kb: Sequence[int],
     seed: int,
-) -> Dict[str, List[float]]:
-    series = {}
-    for tool in tools:
-        series[tool] = [
-            measure(tool, platform, kb * 1024, seed=seed) * 1e3 for kb in sizes_kb
-        ]
-    return series
+    scheduler: Optional[Scheduler],
+) -> ExperimentResult:
+    """Figures 2 and 3: each tool's ``primitive`` time (ms) per message
+    size, among 4 nodes."""
+    claim = paper_data.FIGURE_CLAIMS["fig%d-%s-%s" % (figure, primitive, network)]
+    rows = {
+        tool: [make_job(tool, claim["platform"], kb * 1024, 4, seed=seed) for kb in sizes_kb]
+        for tool in claim["tools"]
+    }
+    series = {
+        tool: [seconds * 1e3 for seconds in row]
+        for tool, row in _measure(rows, scheduler).items()
+    }
+    name = primitive.capitalize()
+    text = format_series("KB", sizes_kb, series, title="%s, 4 nodes, %s" % (name, network))
+    prefix = "fig%d/%s" % (figure, network)
+    large = {tool: values[-1] for tool, values in series.items()}
+    checks = [
+        compare.check_ordering(
+            prefix + "/large-message-order", large, claim["large_message_order"]
+        )
+    ]
+    for tool, values in series.items():
+        checks.append(
+            compare.check_monotone_increasing("%s/%s-grows-with-size" % (prefix, tool), values)
+        )
+    title = "%s timing (Figure %d, %s)" % (name, figure, network)
+    return ExperimentResult("F%d-%s" % (figure, network), title, text, checks)
 
 
 def run_fig2_broadcast(
     network: str = "ethernet",
     sizes_kb: Sequence[int] = FIGURE_SIZES_KB,
     seed: int = 0,
+    scheduler: Optional[Scheduler] = None,
 ) -> ExperimentResult:
     """Figure 2 — broadcast among 4 SUNs (Ethernet or ATM WAN)."""
-    claim = paper_data.FIGURE_CLAIMS["fig2-broadcast-%s" % network]
-    series = _sweep(
-        measurements.measure_broadcast, claim["tools"], claim["platform"], sizes_kb, seed
-    )
-    text = format_series("KB", sizes_kb, series, title="Broadcast, 4 nodes, %s" % network)
-    large = {tool: values[-1] for tool, values in series.items()}
-    checks = [
-        compare.check_ordering(
-            "fig2/%s/large-message-order" % network, large, claim["large_message_order"]
-        )
-    ]
-    for tool, values in series.items():
-        checks.append(
-            compare.check_monotone_increasing("fig2/%s/%s-grows-with-size" % (network, tool), values)
-        )
-    return ExperimentResult(
-        "F2-%s" % network, "Broadcast timing (Figure 2, %s)" % network, text, checks
-    )
+    return _tpl_figure(2, "broadcast", broadcast_job, network, sizes_kb, seed, scheduler)
 
 
 def run_fig3_ring(
     network: str = "ethernet",
     sizes_kb: Sequence[int] = FIGURE_SIZES_KB,
     seed: int = 0,
+    scheduler: Optional[Scheduler] = None,
 ) -> ExperimentResult:
     """Figure 3 — ring (all nodes send and receive), 4 SUNs."""
-    claim = paper_data.FIGURE_CLAIMS["fig3-ring-%s" % network]
-    series = _sweep(
-        measurements.measure_ring, claim["tools"], claim["platform"], sizes_kb, seed
-    )
-    text = format_series("KB", sizes_kb, series, title="Ring, 4 nodes, %s" % network)
-    large = {tool: values[-1] for tool, values in series.items()}
-    checks = [
-        compare.check_ordering(
-            "fig3/%s/large-message-order" % network, large, claim["large_message_order"]
-        )
-    ]
-    for tool, values in series.items():
-        checks.append(
-            compare.check_monotone_increasing("fig3/%s/%s-grows-with-size" % (network, tool), values)
-        )
-    return ExperimentResult(
-        "F3-%s" % network, "Ring timing (Figure 3, %s)" % network, text, checks
-    )
+    return _tpl_figure(3, "ring", ring_job, network, sizes_kb, seed, scheduler)
 
 
 def run_fig4_globalsum(
     vector_sizes: Sequence[int] = (10_000, 30_000, 100_000),
     seed: int = 0,
+    scheduler: Optional[Scheduler] = None,
 ) -> ExperimentResult:
     """Figure 4 — global vector summation, 4 SUNs."""
-    series = {
-        "p4-ethernet": [
-            measurements.measure_global_sum("p4", "sun-ethernet", n, seed=seed) * 1e3
-            for n in vector_sizes
-        ],
-        "express-ethernet": [
-            measurements.measure_global_sum("express", "sun-ethernet", n, seed=seed) * 1e3
-            for n in vector_sizes
-        ],
-        "p4-nynet": [
-            measurements.measure_global_sum("p4", "sun-atm-wan", n, seed=seed) * 1e3
-            for n in vector_sizes
-        ],
+    curves = {
+        "p4-ethernet": ("p4", "sun-ethernet"),
+        "express-ethernet": ("express", "sun-ethernet"),
+        "p4-nynet": ("p4", "sun-atm-wan"),
     }
+    rows = {
+        name: [global_sum_job(*curve, n, 4, seed=seed) for n in vector_sizes]
+        for name, curve in curves.items()
+    }
+    rows["pvm"] = [global_sum_job("pvm", "sun-ethernet", 1000, 4, seed=seed)]
+    samples = _measure(rows, scheduler)
+    (pvm_sample,) = samples.pop("pvm")
+    series = {name: [seconds * 1e3 for seconds in row] for name, row in samples.items()}
     text = format_series("# ints", vector_sizes, series, title="Global vector sum, 4 nodes")
     at_max = {name: values[-1] for name, values in series.items()}
     checks = [
@@ -358,9 +360,7 @@ def run_fig4_globalsum(
             ["p4-ethernet", "express-ethernet"],
         ),
         compare.CheckResult(
-            "fig4/pvm-not-plotted",
-            measurements.measure_global_sum("pvm", "sun-ethernet", 1000, seed=seed) is None,
-            "PVM supports no global operation",
+            "fig4/pvm-not-plotted", pvm_sample is None, "PVM supports no global operation"
         ),
         compare.check_ratio_band(
             "fig4/express-p4-gap",
@@ -381,6 +381,7 @@ def run_apl_figure(
     apps: Sequence[str] = ("fft2d", "jpeg", "montecarlo", "psrs"),
     tools: Optional[Sequence[str]] = None,
     seed: int = 0,
+    scheduler: Optional[Scheduler] = None,
 ) -> ExperimentResult:
     """Figures 5-8 — the four applications on one platform."""
     axes = paper_data.APL_PLATFORM_AXES[platform]
@@ -391,28 +392,20 @@ def run_apl_figure(
     if tools is None:
         tools = axes["tools"]
 
+    samples = _measure(
+        {
+            (app, tool): [application_job(app, tool, platform, p, seed=seed) for p in processors]
+            for app in apps
+            for tool in tools
+        },
+        scheduler,
+    )
     blocks = []
     checks = []
-    times: Dict[str, Dict[str, List[float]]] = {}
     for app_name in apps:
-        times[app_name] = {}
-        for tool in tools:
-            times[app_name][tool] = [
-                measurements.measure_application(
-                    app_name, tool, platform, processors=p, seed=seed
-                )
-                for p in processors
-            ]
-        blocks.append(
-            format_series(
-                "P",
-                processors,
-                times[app_name],
-                title="%s on %s" % (app_name, platform),
-                unit="s",
-                precision=4,
-            )
-        )
+        times = {tool: samples[app_name, tool] for tool in tools}
+        title = "%s on %s" % (app_name, platform)
+        blocks.append(format_series("P", processors, times, title=title, unit="s", precision=4))
         # Headline claims: compute-heavy apps speed up; p4 leads the
         # communication-heavy ones (JPEG, FFT).
         for tool in tools:
@@ -420,12 +413,12 @@ def run_apl_figure(
                 checks.append(
                     compare.check_monotone_decreasing(
                         "%s/%s/%s-speedup" % (axes["figure"], app_name, tool),
-                        times[app_name][tool],
+                        times[tool],
                         slack=0.10,
                     )
                 )
         if app_name in ("jpeg", "fft2d"):
-            at_max_p = {tool: times[app_name][tool][-1] for tool in tools}
+            at_max_p = {tool: times[tool][-1] for tool in tools}
             best = min(at_max_p, key=lambda t: at_max_p[t])
             checks.append(
                 compare.CheckResult(
@@ -443,20 +436,21 @@ def run_apl_figure(
     )
 
 
-#: Experiment registry: id -> zero-argument callable.
-EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "table3": run_table3,
-    "table4": run_table4,
-    "table5": run_table5,
-    "fig2-ethernet": lambda: run_fig2_broadcast("ethernet"),
-    "fig2-atm": lambda: run_fig2_broadcast("atm"),
-    "fig3-ethernet": lambda: run_fig3_ring("ethernet"),
-    "fig3-atm": lambda: run_fig3_ring("atm"),
-    "fig4": run_fig4_globalsum,
-    "fig5": lambda: run_apl_figure("alpha-fddi"),
-    "fig6": lambda: run_apl_figure("sp1-switch"),
-    "fig7": lambda: run_apl_figure("sun-atm-wan"),
-    "fig8": lambda: run_apl_figure("sun-ethernet"),
+#: Experiment registry: id -> callable taking the scheduler to measure
+#: through.
+EXPERIMENTS: Dict[str, Callable[[Scheduler], ExperimentResult]] = {
+    "table1": lambda scheduler: run_table1(),
+    "table2": lambda scheduler: run_table2(),
+    "table3": lambda scheduler: run_table3(scheduler=scheduler),
+    "table4": lambda scheduler: run_table4(scheduler=scheduler),
+    "table5": lambda scheduler: run_table5(),
+    "fig2-ethernet": lambda scheduler: run_fig2_broadcast("ethernet", scheduler=scheduler),
+    "fig2-atm": lambda scheduler: run_fig2_broadcast("atm", scheduler=scheduler),
+    "fig3-ethernet": lambda scheduler: run_fig3_ring("ethernet", scheduler=scheduler),
+    "fig3-atm": lambda scheduler: run_fig3_ring("atm", scheduler=scheduler),
+    "fig4": lambda scheduler: run_fig4_globalsum(scheduler=scheduler),
+    "fig5": lambda scheduler: run_apl_figure("alpha-fddi", scheduler=scheduler),
+    "fig6": lambda scheduler: run_apl_figure("sp1-switch", scheduler=scheduler),
+    "fig7": lambda scheduler: run_apl_figure("sun-atm-wan", scheduler=scheduler),
+    "fig8": lambda scheduler: run_apl_figure("sun-ethernet", scheduler=scheduler),
 }

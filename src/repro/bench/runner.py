@@ -29,29 +29,36 @@ def available_experiments() -> List[str]:
 
 def run_experiment(exp_id: str) -> ExperimentResult:
     """Run one experiment by id."""
-    try:
-        factory = EXPERIMENTS[exp_id]
-    except KeyError:
-        raise ConfigurationError(
-            "unknown experiment %r; available: %s"
-            % (exp_id, ", ".join(available_experiments()))
-        )
-    return factory()
+    return run_experiments([exp_id], echo=False)[0]
 
 
 def run_experiments(
     exp_ids: Optional[Iterable[str]] = None, echo: bool = True
 ) -> List[ExperimentResult]:
-    """Run several (default: all) experiments, printing each report."""
-    if exp_ids is None:
-        exp_ids = available_experiments()
+    """Run several (default: all) experiments, printing each report.
+
+    Every id is checked before anything is measured.  The experiments
+    share one scheduler over one worker per CPU, so a job that two of
+    them need is simulated once.
+    """
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
+
+    exp_ids = available_experiments() if exp_ids is None else list(exp_ids)
+    unknown = sorted(set(exp_ids) - set(EXPERIMENTS))
+    if unknown:
+        raise ConfigurationError(
+            "unknown experiments: %s; available: %s"
+            % (", ".join(unknown), ", ".join(available_experiments()))
+        )
     results = []
-    for exp_id in exp_ids:
-        result = run_experiment(exp_id)
-        if echo:
-            print(result.render())
-            print()
-        results.append(result)
+    with Scheduler(executor=create_executor("auto")) as scheduler:
+        for exp_id in exp_ids:
+            result = EXPERIMENTS[exp_id](scheduler)
+            if echo:
+                print(result.render())
+                print()
+            results.append(result)
     return results
 
 

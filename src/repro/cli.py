@@ -953,18 +953,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_experiment(ids: List[str]) -> int:
-    from repro.bench.runner import available_experiments, run_experiments
+    from repro.bench.runner import run_experiments
     from repro.errors import ReproError
 
-    requested = ids or None
-    if requested:
-        unknown = set(requested) - set(available_experiments())
-        if unknown:
-            print("unknown experiments: %s" % ", ".join(sorted(unknown)))
-            print("available: %s" % ", ".join(available_experiments()))
-            return 2
     try:
-        results = run_experiments(requested)
+        results = run_experiments(ids or None)
     except ReproError as error:
         print("error: %s" % error)
         return 2

@@ -2,9 +2,10 @@
 
 Each function builds a fresh platform (so runs are independent and
 deterministic given the seed), instantiates the tool, executes the
-benchmark program and returns simulated seconds.  These are the
-primitives behind both the evaluator's scoring and the table/figure
-benchmarks in ``repro.bench``.
+benchmark program and returns simulated seconds.  Their one caller is
+:func:`repro.core.jobs.execute_job`: evaluations, the service, the
+worker fleet and the paper's tables and figures all measure through
+the scheduler's jobs.
 """
 
 from __future__ import annotations

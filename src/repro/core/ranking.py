@@ -2,16 +2,18 @@
 
 Table 4 summarizes, per platform and primitive class, the order in
 which the tools finish.  :func:`primitive_rankings` regenerates that
-ordering from fresh measurements; :func:`summary_table` renders the
-same row/column layout the paper prints.
+ordering from one scheduler pass over the platform's primitive jobs;
+:func:`summary_table` renders the same row/column layout the paper
+prints.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import measurements
+from repro.core.jobs import broadcast_job, global_sum_job, ring_job, sendrecv_job
 from repro.core.metrics import rank_by_value
+from repro.core.scheduler import Scheduler
 from repro.tools.registry import PAPER_TOOL_NAMES
 
 __all__ = ["PRIMITIVE_CLASSES", "primitive_rankings", "summary_table"]
@@ -27,42 +29,41 @@ def primitive_rankings(
     processors: int = 4,
     tools: Sequence[str] = PAPER_TOOL_NAMES,
     seed: int = 0,
+    scheduler: Optional[Scheduler] = None,
 ) -> Dict[str, List[str]]:
-    """Tool orderings (best first) per primitive class on a platform.
+    """Tool orderings (best first) per primitive class on a platform,
+    measured through ``scheduler`` (default: a serial in-process one).
 
     Tools that do not provide a primitive are *omitted* from its
     ranking, exactly as Table 4 leaves PVM out of the global-sum
     column.
     """
-    values_by_class: Dict[str, Dict[str, Optional[float]]] = {
+    jobs_by_class = {
         "snd/rcv": {
-            tool: measurements.measure_sendrecv(tool, platform_name, nbytes, seed=seed)
-            for tool in tools
+            tool: sendrecv_job(tool, platform_name, nbytes, seed=seed) for tool in tools
         },
         "broadcast": {
-            tool: measurements.measure_broadcast(
-                tool, platform_name, nbytes, processors=processors, seed=seed
-            )
+            tool: broadcast_job(tool, platform_name, nbytes, processors, seed=seed)
             for tool in tools
         },
         "ring": {
-            tool: measurements.measure_ring(
-                tool, platform_name, nbytes, processors=processors, seed=seed
-            )
+            tool: ring_job(tool, platform_name, nbytes, processors, seed=seed)
             for tool in tools
         },
         "global sum": {
-            tool: measurements.measure_global_sum(
-                tool, platform_name, vector_ints, processors=processors, seed=seed
-            )
+            tool: global_sum_job(tool, platform_name, vector_ints, processors, seed=seed)
             for tool in tools
         },
     }
-    rankings = {}
-    for class_name, values in values_by_class.items():
-        supported = {tool: value for tool, value in values.items() if value is not None}
-        rankings[class_name] = rank_by_value(supported)
-    return rankings
+    samples = (scheduler or Scheduler()).run_jobs(
+        [job for jobs in jobs_by_class.values() for job in jobs.values()]
+    )
+    return {
+        class_name: rank_by_value(
+            {tool: samples[job] for tool, job in jobs.items() if samples[job] is not None}
+        )
+        for class_name, jobs in jobs_by_class.items()
+    }
 
 
 def summary_table(rankings_by_platform: Dict[str, Dict[str, List[str]]]) -> str:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import paper_data
-from repro.bench.runner import available_experiments, run_experiment
+from repro.bench import experiments, paper_data
+from repro.bench.runner import available_experiments, run_experiment, run_experiments
 from repro.bench.tables import format_series, format_table
 from repro.errors import ConfigurationError
 
@@ -82,6 +82,20 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment("table99")
+
+    def test_unknown_ids_are_rejected_before_any_artifact_runs(self, monkeypatch):
+        ran = []
+        for exp_id in ("table1", "table3"):
+            monkeypatch.setitem(
+                experiments.EXPERIMENTS, exp_id,
+                lambda scheduler, exp_id=exp_id: ran.append(exp_id),
+            )
+        with pytest.raises(ConfigurationError) as raised:
+            run_experiments(["table1", "table99", "table3", "fig0"], echo=False)
+        assert ran == []
+        message = str(raised.value)
+        assert "fig0, table99" in message
+        assert ", ".join(available_experiments()) in message
 
     def test_static_experiments_run_fast_and_pass(self):
         for exp_id in ("table1", "table2", "table5"):

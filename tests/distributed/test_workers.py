@@ -9,6 +9,7 @@ SIGKILLed process (the subprocess version runs in the CI
 distributed-smoke job and ``examples/distributed_sweep.py``).
 """
 
+import gc
 import os
 import threading
 import time
@@ -550,7 +551,14 @@ def test_remote_passes_leave_no_descriptor_open(tmp_path):
     """Fifty coordinator passes over a live in-process fleet, each with
     its own executor closed by its scheduler: the descriptor count is
     back to its start after the passes, and to its count before the
-    fleet once the fleet stops."""
+    fleet once the fleet stops.
+
+    Each baseline is taken after a garbage collection, so that an
+    earlier test's unreachable cache writers are not closed by their
+    finalizers during the passes.  Each reading is the fewest of
+    several listings: a fleet thread briefly holds a descriptor on the
+    queue while it lists it, whereas a leaked one is in every
+    listing."""
     queue_dir = str(tmp_path / "queue")
     queue = JobQueue(queue_dir)
     cache = ResultCache()
@@ -565,11 +573,13 @@ def test_remote_passes_leave_no_descriptor_open(tmp_path):
             assert scheduler.run_jobs(jobs) == dict.fromkeys(jobs, 1.0)
 
     def descriptors():
-        return len(os.listdir("/proc/self/fd"))
+        return min(len(os.listdir("/proc/self/fd")) for _ in range(10))
 
+    gc.collect()
     before_fleet = descriptors()
     with WorkerPool(queue, cache, workers=2, poll_interval=0.005):
         one_pass()  # the fleet's own bells are open from here on
+        gc.collect()
         start = descriptors()
         for _ in range(50):
             one_pass()
